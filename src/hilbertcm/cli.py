@@ -18,20 +18,21 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from mpmath import mp
 
 from . import __version__
 from .exactnum import primes_up_to
 from .gzmoduli import (
+    MIN_PRECISION,
     GzInputError,
     GzParams,
     formal_sum_log,
     gz_total,
     singular_moduli_log,
 )
-from .intersect import IntersectionResult, b1_at_p, intersection_at_p, intersection_total
+from .intersect import IntersectionResult, b1_at_p, intersection_total
 from .quadcm import (
     CmFieldData,
     FieldValidationError,
@@ -79,11 +80,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _emit_json(payload: object) -> None:
@@ -138,21 +142,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _verify_field(cm: CmFieldData, result: IntersectionResult, jobs: int) -> tuple[dict[int, int], bool]:
-    """b1 values on the support, plus the full identity verdict over all
-    primes up to Dtilde/(4D)."""
+    """b1 values on the support, plus the identity verdict b1(p) = 2 * c_p
+    over all primes p up to Dtilde/(4D)."""
     primes = primes_up_to(cm.dtilde // (4 * cm.D))
-    support = sorted(result.terms)
-
-    def check(p: int) -> bool:
-        return b1_at_p(cm, p) == 2 * intersection_at_p(cm, p)
-
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(check, primes))
+            b1 = dict(zip(primes, pool.map(lambda p: b1_at_p(cm, p), primes)))
     else:
-        verdicts = [check(p) for p in primes]
-    b1 = {p: b1_at_p(cm, p) for p in support}
-    return b1, all(verdicts)
+        b1 = {p: b1_at_p(cm, p) for p in primes}
+    verified = all(b1[p] == 2 * result.terms.get(p, 0) for p in primes)
+    return {p: b1[p] for p in result.terms}, verified
 
 
 def cmd_intersect(args: argparse.Namespace) -> int:
@@ -293,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
             "--jobs",
-            type=int,
-            default=_default_jobs(),
+            type=_int_at_least(1),
+            default=os.environ.get(JOBS_ENV_VAR, "1"),
             help=f"parallelism degree (default: ${JOBS_ENV_VAR} or 1)",
         )
 
@@ -316,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gz = sub.add_parser("gz", help="degenerate case: singular moduli pair")
     p_gz.add_argument("--d1", type=int, required=True)
     p_gz.add_argument("--d2", type=int, required=True)
-    p_gz.add_argument("--precision", type=int, default=100, help="oracle digits")
+    p_gz.add_argument(
+        "--precision", type=_int_at_least(MIN_PRECISION), default=100, help="oracle digits"
+    )
     p_gz.add_argument("--format", choices=("text", "json"), default="text")
     p_gz.set_defaults(func=cmd_gz)
 
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--D", type=_int_list, required=True, metavar="D1[,D2,...]",
         help="comma-separated primes = 1 mod 4",
     )
-    p_enum.add_argument("--bound", type=int, required=True, help="max Norm(delta)")
+    p_enum.add_argument("--bound", type=_int_at_least(0), required=True, help="max Norm(delta)")
     add_common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
     return parser

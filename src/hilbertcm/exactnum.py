@@ -14,14 +14,19 @@ from math import isqrt
 #: Marker for the archimedean (real) place of Q.
 ARCHIMEDEAN = "oo"
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
+# Miller-Rabin on these bases is exact below psi_12 = 399165290221 * 798330580441
+# (Sorenson-Webster), the least strong pseudoprime to all of them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid far past 64 bits)."""
+    """Deterministic Miller-Rabin primality test, proven for n below
+    _MR_LIMIT (about 3.2 * 10**23); raises ValueError from there on."""
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is proven only below {_MR_LIMIT}, got {n}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -2,9 +2,9 @@
 
 Here the field input degenerates to a pair of coprime negative fundamental
 discriminants d1, d2 = 1 mod 4 with Dtilde = d1*d2.  The per-prime formula is
-the same shape as the main one, with the symbol (-alpha_l, l)_l replaced by
-the character value eps(l) and the summation running over positive n with
-(Dtilde - n**2)/4 a positive multiple of p.
+the main one, evaluated by the same kernel in intersect, with the symbol
+(-alpha_l, l)_l replaced by the character value eps(l) and the summation
+running over positive n with (Dtilde - n**2)/4 a positive multiple of p.
 
 An independent oracle evaluates sum 4/(w1*w2) * log|j(tau1) - j(tau2)| over
 Heegner points by the q-expansion j = E4**3/Delta at arbitrary precision;
@@ -15,18 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp
 
-from .exactnum import (
-    is_squarefree,
-    kronecker_symbol,
-    padic_valuation,
-    prime_factors,
-)
-from .intersect import IntersectionResult
+from .exactnum import is_squarefree, kronecker_symbol
+from .intersect import IntersectionResult, coefficient_at_p, formal_sum
+from .tmatrix import admissible_m
+
+
+#: Fewest oracle digits singular_moduli_log accepts.
+MIN_PRECISION = 30
 
 
 class GzInputError(ValueError):
@@ -66,56 +67,18 @@ def epsilon_of(l: int, params: GzParams) -> int:
     raise GzInputError(f"{l} divides both discriminants")
 
 
-def _beta_l(params: GzParams, p: int, m: int, l: int) -> Fraction:
-    t = padic_valuation(m, l)
-    eps = epsilon_of(l, params)
-    if l == p:
-        return Fraction(1 - eps**t, 2)
-    if eps == -1:
-        return Fraction(1 + (-1) ** t, 2)
-    return Fraction(t + 1)
-
-
-def _admissible_m(params: GzParams) -> list[tuple[int, int]]:
-    """All (n, m) with n > 0 and m = (d1*d2 - n**2)/4 a positive integer."""
-    dtilde = params.dtilde
-    out = []
-    for n in range(1, isqrt(dtilde) + 1):
-        rem = dtilde - n * n
-        if rem > 0 and rem % 4 == 0:
-            out.append((n, rem // 4))
-    return out
-
-
 def gz_intersection_at_p(params: GzParams, p: int) -> Fraction:
     """Coefficient of log p in the degenerate-case intersection number."""
-    total = Fraction(0)
-    for _n, m in _admissible_m(params):
-        if m % p:
-            continue
-        prod = Fraction(1)
-        for l in prime_factors(m):
-            prod *= _beta_l(params, p, m, l)
-            if prod == 0:
-                break
-        total += (padic_valuation(m, p) + 1) * prod
-    return total / 2
+    sign = partial(epsilon_of, params=params)
+    return coefficient_at_p(p, [(m, sign) for m in admissible_m(params.dtilde, 4).values()])
 
 
 def gz_total(params: GzParams) -> IntersectionResult:
     """The full formal sum for the pair (d1, d2); support primes are at most
     d1*d2/4."""
-    candidates: set[int] = set()
-    for _n, m in _admissible_m(params):
-        candidates.update(prime_factors(m))
-    terms: dict[int, Fraction] = {}
-    for p in sorted(candidates):
-        c = gz_intersection_at_p(params, p)
-        if c:
-            assert 4 * p <= params.dtilde, "support bound violated"
-            assert c > 0 and (2 * c).denominator == 1
-            terms[p] = c
-    return IntersectionResult(terms, f"d1={params.d1}, d2={params.d2}")
+    ms = admissible_m(params.dtilde, 4).values()
+    at_p = partial(gz_intersection_at_p, params)
+    return formal_sum(ms, at_p, params.dtilde // 4, f"d1={params.d1}, d2={params.d2}")
 
 
 @dataclass(frozen=True)
@@ -221,8 +184,8 @@ def j_invariant(form: HeegnerForm) -> mpmath.mpc:
 def singular_moduli_log(params: GzParams, precision: int = 100) -> mpmath.mpf:
     """sum over class pairs of 4/(w1*w2) * log|j(tau1) - j(tau2)|, computed to
     `precision` decimal digits with guard digits on top."""
-    if precision < 30:
-        raise ValueError("precision must be at least 30 digits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
     with mp.workdps(precision + 20):
         js1 = [j_invariant(f) for f in reduced_forms(params.d1)]
         js2 = [j_invariant(f) for f in reduced_forms(params.d2)]

@@ -6,10 +6,14 @@ diagonal entry of T(mu*n); the per-prime intersection number is
 
     (1/2) * sum_n (t_p + 1) * sum_mu  prod_l beta_l.
 
+The kernel (`coefficient_at_p`, `formal_sum`) evaluates this sum over
+(m, sign) pairs with the local symbol as a parameter, so the Gross-Zagier
+case in gzmoduli, where the symbol is eps(l), runs through the same code.
+
 Route two (reflex side): b1(p) counts ideals of given relative norm in the
 reflex CM field via rho-factors, driven by the splitting behaviour of each
-prime.  The two routes share nothing past the T matrices, and the identity
-b1(p) = 2 * (intersection at p) is the project's main cross-check.
+prime.  It shares nothing with the kernel past the T matrices, and the
+identity b1(p) = 2 * (intersection at p) is the project's main cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import partial
+from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
     hilbert_symbol,
@@ -28,7 +33,7 @@ from .exactnum import (
     primes_up_to,
 )
 from .quadcm import CmFieldData
-from .tmatrix import TMatrix, admissible_n, build_tmatrix
+from .tmatrix import TMatrix, admissible_m, admissible_n, build_tmatrix
 
 log = logging.getLogger(__name__)
 
@@ -93,18 +98,63 @@ def alpha_unit(T: TMatrix, l: int) -> int:
     )
 
 
-def beta_l(p: int, T: TMatrix, l: int) -> Fraction:
-    """The local factor at l of the closed-form product for the prime p."""
-    m = T.quarter_det
-    if m % l:
-        raise ValueError(f"{l} does not divide {m}")
-    t = padic_valuation(m, l)
-    sym = hilbert_symbol(-alpha_unit(T, l), l, l)
-    if l == p:
-        return Fraction(1 - sym**t, 2)
-    if sym == -1:
+def _beta(t: int, sign: int, at_p: bool) -> Fraction:
+    """The local factor at a prime l exactly dividing m to the power t, with
+    local symbol `sign`; `at_p` marks l = p."""
+    if at_p:
+        return Fraction(1 - sign**t, 2)
+    if sign == -1:
         return Fraction(1 + (-1) ** t, 2)
     return Fraction(t + 1)
+
+
+def coefficient_at_p(p: int, pairs: Iterable[tuple[int, Callable[[int], int]]]) -> Fraction:
+    """(1/2) * sum (t_p + 1) * prod_l beta_l over the (m, sign) pairs with
+    p | m, where sign(l) is the local symbol at l."""
+    total = Fraction(0)
+    for m, sign in pairs:
+        if m % p:
+            continue
+        prod = Fraction(1)
+        for l in prime_factors(m):
+            prod *= _beta(padic_valuation(m, l), sign(l), l == p)
+            if prod == 0:
+                break
+        total += (padic_valuation(m, p) + 1) * prod
+    return total / 2
+
+
+def _primes_dividing(ms: Iterable[int]) -> list[int]:
+    return sorted({l for m in ms for l in prime_factors(m)})
+
+
+def formal_sum(
+    ms: Iterable[int], at_p: Callable[[int], Fraction], bound: int, descriptor: str
+) -> IntersectionResult:
+    """sum_p at_p(p) * log p over the primes p dividing some m.  Every nonzero
+    coefficient must lie in (1/2)Z>0 at a prime p <= bound."""
+    terms: dict[int, Fraction] = {}
+    for p in _primes_dividing(ms):
+        c = at_p(p)
+        if not c:
+            continue
+        if p > bound:
+            raise ValueError(f"support bound violated: {c}*log {p} with {p} > {bound}")
+        if c < 0 or (2 * c).denominator != 1:
+            raise ValueError(f"coefficient {c} of log {p} is not in (1/2)Z>0")
+        terms[p] = c
+    return IntersectionResult(terms, descriptor)
+
+
+def _symbol(T: TMatrix, l: int) -> int:
+    """The local symbol (-alpha_l, l)_l of the closed form."""
+    return hilbert_symbol(-alpha_unit(T, l), l, l)
+
+
+def beta_l(p: int, T: TMatrix, l: int) -> Fraction:
+    """The local factor at l of the closed-form product for the prime p.
+    Requires l | (Dtilde - n**2)/(4D)."""
+    return _beta(padic_valuation(T.quarter_det, l), _symbol(T, l), l == p)
 
 
 def local_factors(p: int, T: TMatrix) -> tuple[LocalFactor, ...]:
@@ -113,15 +163,9 @@ def local_factors(p: int, T: TMatrix) -> tuple[LocalFactor, ...]:
     out = []
     for l in prime_factors(T.quarter_det):
         alpha = alpha_unit(T, l)
-        out.append(
-            LocalFactor(
-                l=l,
-                alpha=alpha,
-                t_l=padic_valuation(T.quarter_det, l),
-                symbol=hilbert_symbol(-alpha, l, l),
-                beta=beta_l(p, T, l),
-            )
-        )
+        t = padic_valuation(T.quarter_det, l)
+        sym = hilbert_symbol(-alpha, l, l)
+        out.append(LocalFactor(l=l, alpha=alpha, t_l=t, symbol=sym, beta=_beta(t, sym, l == p)))
     return tuple(out)
 
 
@@ -130,54 +174,34 @@ def beta_product(p: int, T: TMatrix) -> Fraction:
     m = T.quarter_det
     if m % p:
         raise ValueError(f"(Dtilde - n**2)/(4D) = {m} is not a positive multiple of {p}")
-    prod = Fraction(1)
-    for l in prime_factors(m):
-        prod *= beta_l(p, T, l)
-        if prod == 0:
-            break
-    return prod
+    # The kernel's sum over this one pair is (t_p + 1) * product / 2.
+    return 2 * coefficient_at_p(p, [(m, partial(_symbol, T))]) / (padic_valuation(m, p) + 1)
 
 
-def _terms_at_p(cm: CmFieldData, p: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Admissible (n, t_p, mu-list) with p dividing (Dtilde - n**2)/(4D)."""
-    out = []
-    for n, mus in admissible_n(cm):
-        m = (cm.dtilde - n * n) // (4 * cm.D)
-        if m % p == 0:
-            out.append((n, padic_valuation(m, p), mus))
-    return out
+def _tmatrices_at_p(cm: CmFieldData, p: int) -> list[TMatrix]:
+    """Every T(mu*n) with p dividing (Dtilde - n**2)/(4D), ordered by (n, -mu)."""
+    ns = [(n, mus) for n, mus in admissible_n(cm) if (cm.dtilde - n * n) // (4 * cm.D) % p == 0]
+    return [build_tmatrix(cm, n, mu) for n, mus in ns for mu in mus]
 
 
 def intersection_at_p(cm: CmFieldData, p: int) -> Fraction:
     """The coefficient of log p in the intersection number (closed form)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    total = Fraction(0)
-    for n, t_p, mus in _terms_at_p(cm, p):
-        inner = sum(beta_product(p, build_tmatrix(cm, n, mu)) for mu in mus)
-        total += (t_p + 1) * inner
-    return total / 2
+    pairs = [(T.quarter_det, partial(_symbol, T)) for T in _tmatrices_at_p(cm, p)]
+    return coefficient_at_p(p, pairs)
 
 
 def candidate_primes(cm: CmFieldData) -> list[int]:
     """Primes that can possibly support the intersection: divisors of some
     (Dtilde - n**2)/(4D)."""
-    out: set[int] = set()
-    for n, _ in admissible_n(cm):
-        out.update(prime_factors((cm.dtilde - n * n) // (4 * cm.D)))
-    return sorted(out)
+    return _primes_dividing(admissible_m(cm.dtilde, 4 * cm.D).values())
 
 
 def intersection_total(cm: CmFieldData) -> IntersectionResult:
     """The full formal sum; support is contained in primes <= Dtilde/(4D)."""
-    terms: dict[int, Fraction] = {}
-    for p in candidate_primes(cm):
-        c = intersection_at_p(cm, p)
-        if c:
-            assert 4 * cm.D * p <= cm.dtilde, "support bound violated"
-            assert c > 0 and (2 * c).denominator == 1, "coefficient not in (1/2)Z>=0"
-            terms[p] = c
-    return IntersectionResult(terms, cm.describe())
+    ms = admissible_m(cm.dtilde, 4 * cm.D).values()
+    return formal_sum(ms, partial(intersection_at_p, cm), cm.dtilde // (4 * cm.D), cm.describe())
 
 
 def split_in_Ktilde(
@@ -262,25 +286,22 @@ def b1_at_p(cm: CmFieldData, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = 0
-    for n, t_p, mus in _terms_at_p(cm, p):
-        for mu in mus:
-            T = build_tmatrix(cm, n, mu)
-            data = reflex_local_data(p, T)
-            at_p = next(d for d in data if d.l == p)
-            if at_p.splitting_in_Ktilde == SPLIT:
-                continue
-            prod = 1
-            for d in data:
-                prod *= rho_local(d.splitting_in_Ktilde, d.ord_at_chosen_prime)
-                if prod == 0:
-                    break
-            total += (t_p + 1) * prod
+    for T in _tmatrices_at_p(cm, p):
+        data = reflex_local_data(p, T)
+        at_p = next(d for d in data if d.l == p)
+        if at_p.splitting_in_Ktilde == SPLIT:
+            continue
+        prod = 1
+        for d in data:
+            prod *= rho_local(d.splitting_in_Ktilde, d.ord_at_chosen_prime)
+            if prod == 0:
+                break
+        total += (padic_valuation(T.quarter_det, p) + 1) * prod
     return total
 
 
 def verify_main_identity(cm: CmFieldData) -> bool:
     """b1(p) = 2 * (intersection at p) over every prime p <= Dtilde/(4D)."""
+    terms = intersection_total(cm).terms
     bound = cm.dtilde // (4 * cm.D)
-    return all(
-        b1_at_p(cm, p) == 2 * intersection_at_p(cm, p) for p in primes_up_to(bound)
-    )
+    return all(b1_at_p(cm, p) == 2 * terms.get(p, 0) for p in primes_up_to(bound))

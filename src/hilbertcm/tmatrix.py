@@ -62,15 +62,21 @@ def mu_signs(cm: CmFieldData, n: int) -> tuple[int, ...]:
     return (-1,)
 
 
+def admissible_m(dtilde: int, step: int) -> dict[int, int]:
+    """Map each n > 0 with m = (dtilde - n**2)/step a positive integer to m,
+    ascending in n."""
+    out = {}
+    for n in range(1, isqrt(dtilde) + 1):
+        rem = dtilde - n * n
+        if rem % step == 0 and rem > 0:
+            out[n] = rem // step
+    return out
+
+
 def admissible_n(cm: CmFieldData) -> list[tuple[int, tuple[int, ...]]]:
     """All (n, mu-list) with 0 < n < sqrt(Dtilde) and 4D | (Dtilde - n**2),
     ascending in n."""
-    out: list[tuple[int, tuple[int, ...]]] = []
-    step = 4 * cm.D
-    for n in range(1, isqrt(cm.dtilde) + 1):
-        if (cm.dtilde - n * n) % step == 0:
-            out.append((n, mu_signs(cm, n)))
-    return out
+    return [(n, mu_signs(cm, n)) for n in admissible_m(cm.dtilde, 4 * cm.D)]
 
 
 def build_tmatrix(cm: CmFieldData, n: int, mu: int) -> TMatrix:

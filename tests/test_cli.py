@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hilbertcm import __version__
+from hilbertcm import __version__, cli
 from hilbertcm.cli import main
 
 
@@ -38,6 +38,14 @@ class TestValidate:
         assert code == 1
         assert "d-not-prime" in out
 
+    def test_d_past_primality_limit(self, capsys):
+        code, _, err = run_cli(
+            capsys, "validate", "--D", "318665857834031151167461",
+            "--delta", "-13,1", "--w", "0,1",
+        )
+        assert code == 1
+        assert "proven only below 318665857834031151167461" in err
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -60,6 +68,31 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["validate", "--D", "5", "--delta", "nope", "--w", "0,1"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["enumerate-fields", "--D", "5", "--bound", "-5"], "--bound: must be at least 0"),
+            (["gz", "--d1", "-3", "--d2", "-7", "--precision", "10"],
+             "--precision: must be at least 30"),
+            (["intersect", "--D", "5", "--delta", "-13,1", "--w", "0,1", "--jobs", "0"],
+             "--jobs: must be at least 1"),
+            (["enumerate-fields", "--D", "5", "--bound", "50", "--jobs", "-3"],
+             "--jobs: must be at least 1"),
+        ],
+    )
+    def test_out_of_range_value(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_jobs_from_environment_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setenv("HILBERTCM_JOBS", "0")
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate-fields", "--D", "5", "--bound", "50"])
+        assert info.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -135,6 +168,24 @@ class TestIntersect:
         for term in payload["terms"]:
             assert f"p={term['p']}" in text_out
             assert f"b1={term['b1']}" in text_out
+
+    def test_verify_checks_primes_outside_support(self, capsys, monkeypatch):
+        # Dtilde = 61: the support is {3}, but every p <= 61/20 is checked.
+        real = cli.b1_at_p
+        monkeypatch.setattr(cli, "b1_at_p", lambda cm, p: 1 if p == 2 else real(cm, p))
+        code, out, _ = run_cli(
+            capsys,
+            "intersect", "--D", "5", "--delta", "-18,4", "--w", "1,0",
+            "--verify", "--format", "json",
+        )
+        assert code == 1
+        assert '"verified": false' in out
+
+    def test_verify_jobs_deterministic(self, capsys):
+        argv = ["intersect", "--D", "13", "--delta", "-85,19", "--w", "1,1", "--verify"]
+        code, seq, _ = run_cli(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        assert run_cli(capsys, *argv, "--jobs", "2") == (0, seq, "")
 
     def test_invalid_field_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,30 @@ def test_is_prime_small():
     assert not is_prime(-7)
     assert is_prime(10**12 + 39)
     assert not is_prime(10**12 + 37)
+
+
+# psi_12 (Sorenson-Webster): the least strong pseudoprime to every prime base
+# up to 37, and so the least n that is_prime refuses.
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_refuses_past_its_limit():
+    assert 399165290221 * 798330580441 == PSI_12
+    for n in (PSI_12, PSI_12 + 2, 10**30):
+        with pytest.raises(ValueError, match=str(PSI_12)):
+            is_prime(n)
+
+
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(0)
+    # psi_1 .. psi_11: least strong pseudoprimes to the first k prime bases.
+    cases = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+             341550071728321, 3825123056546413051, sympy.prevprime(PSI_12)]
+    cases += [rng.randrange(PSI_12) for _ in range(2000)]
+    cases += [sympy.nextprime(rng.randrange(PSI_12 // 2)) for _ in range(100)]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_primes_up_to():

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hilbertcm
+from hilbertcm import gzmoduli, intersect
 from hilbertcm.exactnum import (
     hilbert_symbol,
     kronecker_symbol,
@@ -287,3 +293,42 @@ class TestLocalFactorInvariants:
                         assert f.t_l == padic_valuation(T.quarter_det, f.l)
                         assert f.symbol in (-1, 1)
                         assert f.beta >= 0
+
+
+class TestFormalSumInvariants:
+    """A coefficient outside (1/2)Z>0, or one at a prime past the support
+    bound, is refused with a ValueError on both routes."""
+
+    @pytest.mark.parametrize(
+        "route, value, m, message",
+        [
+            ("closed", Fraction(1, 3), None, "not in"),
+            ("closed", Fraction(1), 3, "support bound"),  # 3 > 41/(4*5)
+            ("gz", Fraction(1, 3), None, "not in"),
+            ("gz", Fraction(1), 7, "support bound"),  # 7 > 21/4
+        ],
+    )
+    def test_rejects(self, monkeypatch, field41, route, value, m, message):
+        module, at_p = {
+            "closed": (intersect, "intersection_at_p"),
+            "gz": (gzmoduli, "gz_intersection_at_p"),
+        }[route]
+        monkeypatch.setattr(module, at_p, lambda *_: value)
+        if m is not None:
+            monkeypatch.setattr(module, "admissible_m", lambda *_: {1: m})
+        with pytest.raises(ValueError, match=message):
+            if route == "closed":
+                intersection_total(field41)
+            else:
+                gzmoduli.gz_total(gzmoduli.GzParams(-3, -7))
+
+    def test_rejects_under_python_O(self):
+        paths = [str(Path(hilbertcm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{__file__}::TestFormalSumInvariants::test_rejects"],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "4 passed" in proc.stdout
