@@ -4,19 +4,16 @@ Subcommands: validate, intersect, gz, enumerate-fields.  Exit codes: 0 on
 success (and verification success), 1 on a domain failure (invalid field,
 failed cross-check, oracle mismatch), 2 on a usage error.
 
-Parallelism for enumerate/intersect comes from --jobs, defaulting to the
-HILBERTCM_JOBS environment variable; output ordering is deterministic for
-any degree.
+Every subcommand runs serially.  intersect and enumerate-fields still
+accept and validate --jobs for existing callers, but it selects nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -42,7 +39,6 @@ from .quadcm import (
 )
 
 GZ_LOG_TOLERANCE = 1e-6
-JOBS_ENV_VAR = "HILBERTCM_JOBS"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -141,15 +137,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_field(cm: CmFieldData, result: IntersectionResult, jobs: int) -> tuple[dict[int, int], bool]:
+def _verify_field(cm: CmFieldData, result: IntersectionResult) -> tuple[dict[int, int], bool]:
     """b1 values on the support, plus the identity verdict b1(p) = 2 * c_p
     over all primes p up to Dtilde/(4D)."""
     primes = primes_up_to(cm.dtilde // (4 * cm.D))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            b1 = dict(zip(primes, pool.map(lambda p: b1_at_p(cm, p), primes)))
-    else:
-        b1 = {p: b1_at_p(cm, p) for p in primes}
+    b1 = {p: b1_at_p(cm, p) for p in primes}
     verified = all(b1[p] == 2 * result.terms.get(p, 0) for p in primes)
     return {p: b1[p] for p in result.terms}, verified
 
@@ -160,7 +152,7 @@ def cmd_intersect(args: argparse.Namespace) -> int:
     b1: dict[int, int] | None = None
     verified: bool | None = None
     if args.verify:
-        b1, verified = _verify_field(cm, result, args.jobs)
+        b1, verified = _verify_field(cm, result)
     if args.format == "json":
         payload: dict[str, object] = {
             "D": cm.D,
@@ -215,7 +207,7 @@ def cmd_gz(args: argparse.Namespace) -> int:
 
 def _enumerate_entry(cm: CmFieldData) -> dict[str, object]:
     result = intersection_total(cm)
-    b1, verified = _verify_field(cm, result, jobs=1)
+    b1, verified = _verify_field(cm, result)
     return {
         "D": cm.D,
         "Dtilde": cm.dtilde,
@@ -231,11 +223,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     fields: list[CmFieldData] = []
     for D in args.D:
         fields.extend(enumerate_fields(D, args.bound))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            entries = list(pool.map(_enumerate_entry, fields))
-    else:
-        entries = [_enumerate_entry(cm) for cm in fields]
+    entries = [_enumerate_entry(cm) for cm in fields]
     verified_count = sum(1 for e in entries if e["verified"])
     if args.format == "json":
         for e in entries:
@@ -293,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=_int_at_least(1),
-            default=os.environ.get(JOBS_ENV_VAR, "1"),
-            help=f"parallelism degree (default: ${JOBS_ENV_VAR} or 1)",
+            default=1,
+            help="accepted for compatibility and checked to be at least 1; "
+            "the computation always runs serially",
         )
 
     p_validate = sub.add_parser("validate", help="check the field conditions")

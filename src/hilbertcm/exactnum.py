@@ -125,15 +125,15 @@ def factorize(n: int) -> Factorization:
                 e += 1
             factors.append((p, e))
     d = 7
-    while m > 1 and d * d <= m:
-        if is_prime(m):
-            break
+    m_is_prime = is_prime(m)
+    while not m_is_prime and m > 1 and d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
             factors.append((d, e))
+            m_is_prime = is_prime(m)
         d += 2
     if m > 1:
         factors.append((m, 1))

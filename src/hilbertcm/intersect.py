@@ -225,7 +225,8 @@ def split_in_Ktilde(
             log.debug(
                 "relative-discriminant place hit: l = D = %d at n = %d", D, T.n
             )
-            assert T.n % D != 0 and T.a % D != 0
+            if T.n % D == 0 or T.a % D == 0:
+                raise ValueError(f"l = D = {D} divides n = {T.n} or the entry a = {T.a}")
             alpha = T.a
     elif l == D:
         if T.a % D == 0:
@@ -262,7 +263,8 @@ def reflex_local_data(p: int, T: TMatrix) -> tuple[ReflexLocalData, ...]:
     out = []
     for l in prime_factors(T.quarter_det):
         # l | Dtilde - n**2 with l coprime to n forces split or ramified.
-        assert kronecker_symbol(cm.dtilde, l) != -1, "inert prime below a divisor"
+        if kronecker_symbol(cm.dtilde, l) == -1:
+            raise ValueError(f"{l} divides (Dtilde - n**2)/(4D) but is inert in Q(sqrt(Dtilde))")
         in_ftilde = RAMIFIED if cm.dtilde % l == 0 else SPLIT
         t_l = padic_valuation(T.quarter_det, l)
         out.append(

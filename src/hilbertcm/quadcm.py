@@ -229,10 +229,10 @@ def enumerate_fields(D: int, dtilde_bound: int) -> list[CmFieldData]:
     """All valid (D, delta, w) with Norm(delta) <= dtilde_bound.
 
     Solves u**2 - D*v**2 = 4*Dtilde over v >= 1 (with an overscan margin for
-    unit-multiple orbits) and searches w0, w1 in {0,..,3}.  Entries are
-    deduplicated by (Dtilde, w mod 2), since the congruence w**2 = delta
-    mod 4 only depends on w mod 2; distinct delta with equal invariants may
-    still present isomorphic fields, which is harmless for property sweeps.
+    unit-multiple orbits) and tries the four classes w0, w1 in {0, 1}.
+    Entries are deduplicated by (Dtilde, w mod 2); distinct delta with equal
+    invariants may still present isomorphic fields, which is harmless for
+    property sweeps.
     """
     if not is_prime(D) or D % 4 != 1:
         raise ValueError(f"D = {D} must be a prime = 1 mod 4")
@@ -253,9 +253,10 @@ def enumerate_fields(D: int, dtilde_bound: int) -> list[CmFieldData]:
             if isqrt(dtilde) ** 2 == dtilde or not is_squarefree(dtilde):
                 continue
             delta = QuadElem.from_uv(D, u, v)
-            for w0 in range(4):
-                for w1 in range(4):
-                    key = (dtilde, w0 % 2, w1 % 2)
+            # (w + 2z)**2 = w**2 mod 4, so validity depends only on w mod 2.
+            for w0 in range(2):
+                for w1 in range(2):
+                    key = (dtilde, w0, w1)
                     if key in found:
                         continue
                     try:

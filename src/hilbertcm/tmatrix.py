@@ -23,7 +23,8 @@ from .quadcm import CmFieldData
 
 
 class TMatrixError(ValueError):
-    """Raised for a non-admissible (n, mu) request."""
+    """Raised for a non-admissible (n, mu) request, or for a matrix that
+    breaks a structural guarantee (the field data was not validated)."""
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,13 @@ def build_tmatrix(cm: CmFieldData, n: int, mu: int) -> TMatrix:
     # 0 or -1 mod 4 (a = -w0**2, c = -w1**2 mod 4 up to a common shift), and
     # at least one is odd; both are -1 mod 4 exactly when w0 and w1 are both
     # odd, a w-class the validation admits (e.g. Q(zeta5)'s presentation).
-    assert a > 0, "matrix must be positive definite"
-    assert (a % 4, c % 4) in {(0, 3), (3, 0), (3, 3)}, "diagonal mod-4 pattern violated"
+    if a <= 0:
+        raise TMatrixError(f"T = {(a, b, c)} is not positive definite")
+    if (a % 4, c % 4) not in {(0, 3), (3, 0), (3, 3)}:
+        raise TMatrixError(f"T = {(a, b, c)} violates the diagonal mod-4 pattern")
     for q in prime_factors(det):
-        assert a % q or c % q, f"prime {q} divides both diagonal entries"
+        if a % q == 0 and c % q == 0:
+            raise TMatrixError(f"prime {q} divides both diagonal entries of T = {(a, b, c)}")
     return TMatrix(cm, n, mu, a, b, c)
 
 

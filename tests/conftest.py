@@ -1,6 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hilbertcm
 from hilbertcm.quadcm import validate_cm_field
+
+
+@pytest.fixture
+def run_under_python_O():
+    """Run pytest node ids in a `python -O` subprocess, where plain asserts
+    are stripped; returns its summary output and fails if any test failed."""
+
+    def run(*node_ids: str) -> str:
+        paths = [str(Path(hilbertcm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *node_ids],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from hilbertcm.exactnum import kronecker_symbol
-from hilbertcm.quadcm import CmFieldData
+from hilbertcm.quadcm import CmFieldData, QuadElem
 
 
 @lru_cache(maxsize=None)
@@ -165,3 +165,34 @@ def class_number_scan(d: int) -> int:
                 continue
             count += 1
     return count
+
+
+def enumerate_fields_oracle(D: int, dtilde_bound: int) -> list[tuple[int, int, int, int, int]]:
+    """(Dtilde, u, v, w0, w1) for every admissible delta = (u + v*sqrt(D))/2
+    with Norm(delta) <= dtilde_bound, keeping per (Dtilde, w mod 2) the first
+    hit when w0 and w1 each run over all of {0,..,3}.
+
+    It scans the library's (u, v) window, so a comparison isolates the w
+    search; every condition is checked here, not through validate_cm_field.
+    """
+    found: dict[tuple[int, int, int], tuple[int, int, int, int, int]] = {}
+    v_max = 4 * (isqrt(4 * dtilde_bound // D) + 1)
+    for v in range(1, v_max + 1):
+        u_hi = isqrt(4 * dtilde_bound + D * v * v)
+        for u in range(-u_hi, 0):
+            if (u - v) % 2 or u * u <= D * v * v or (u * u - D * v * v) % 4:
+                continue
+            dtilde = (u * u - D * v * v) // 4
+            if dtilde > dtilde_bound or dtilde % 4 != 1:
+                continue
+            if isqrt(dtilde) ** 2 == dtilde or not _squarefree(dtilde):
+                continue
+            delta = QuadElem.from_uv(D, u, v)
+            for w0 in range(4):
+                for w1 in range(4):
+                    w = QuadElem(D, w0, w1)
+                    q = w * w - delta
+                    key = (dtilde, w0 % 2, w1 % 2)
+                    if q.x % 4 == 0 and q.y % 4 == 0 and key not in found:
+                        found[key] = (dtilde, u, v, w0, w1)
+    return [found[key] for key in sorted(found)]

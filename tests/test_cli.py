@@ -87,13 +87,6 @@ class TestUsageErrors:
         assert info.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_jobs_from_environment_is_checked(self, capsys, monkeypatch):
-        monkeypatch.setenv("HILBERTCM_JOBS", "0")
-        with pytest.raises(SystemExit) as info:
-            main(["enumerate-fields", "--D", "5", "--bound", "50"])
-        assert info.value.code == 2
-        assert "--jobs: must be at least 1" in capsys.readouterr().err
-
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -108,6 +108,14 @@ class TestFactorize:
             assert padic_valuation(n, p) == e
         assert f.exponent(9973) == padic_valuation(n, 9973) or n % 9973
 
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(0)
+        cases = list(range(1, 2 * 10**5 + 1))
+        cases += [rng.randrange(1, 10**12) for _ in range(2000)]
+        for n in cases:
+            assert dict(factorize(n).factors) == sympy.factorint(n), n
+
     def test_ordering_invariant(self):
         with pytest.raises(ValueError):
             Factorization(1, ((5, 1), (2, 3)))

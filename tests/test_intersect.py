@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import hilbertcm
 from hilbertcm import gzmoduli, intersect
 from hilbertcm.exactnum import (
     hilbert_symbol,
@@ -322,13 +317,28 @@ class TestFormalSumInvariants:
             else:
                 gzmoduli.gz_total(gzmoduli.GzParams(-3, -7))
 
-    def test_rejects_under_python_O(self):
-        paths = [str(Path(hilbertcm.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             f"{__file__}::TestFormalSumInvariants::test_rejects"],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "4 passed" in proc.stdout
+    def test_rejects_under_python_O(self, run_under_python_O):
+        out = run_under_python_O(f"{__file__}::TestFormalSumInvariants::test_rejects")
+        assert "4 passed" in out
+
+
+class TestReflexChecks:
+    """Matrices that no validated field produces are refused with a
+    ValueError on the b1 route."""
+
+    def test_inert_divisor(self, field41):
+        # (41 | 3) = -1, yet 3 divides det/4 = 3.
+        T = TMatrix(field41, 1, 1, 3, 0, 4)
+        with pytest.raises(ValueError, match="inert"):
+            reflex_local_data(3, T)
+
+    def test_reflex_place_with_d_dividing_a(self, field41):
+        # l = D = 5 divides det/4 = 5 and the entry a = 5.
+        T = TMatrix(field41, 1, 1, 5, 0, 4)
+        with pytest.raises(ValueError, match="divides n = 1 or the entry a = 5"):
+            split_in_Ktilde(T, 5)
+
+    def test_rejects_under_python_O(self, run_under_python_O):
+        out = run_under_python_O(f"{__file__}::TestReflexChecks::test_inert_divisor",
+                                 f"{__file__}::TestReflexChecks::test_reflex_place_with_d_dividing_a")
+        assert "2 passed" in out

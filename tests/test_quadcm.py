@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import enumerate_fields_oracle
+
 from hilbertcm.quadcm import (
     CmFieldData,
     FieldValidationError,
@@ -174,6 +176,12 @@ class TestEnumerate:
         fields = enumerate_fields(5, 500)
         keys = [(cm.dtilde, cm.w.x % 2, cm.w.y % 2) for cm in fields]
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("D, bound", [(5, 600), (13, 600)])
+    def test_against_sixteen_pair_oracle(self, D, bound):
+        fields = enumerate_fields(D, bound)
+        got = [(cm.dtilde, cm.u, cm.v, cm.w.x, cm.w.y) for cm in fields]
+        assert got == enumerate_fields_oracle(D, bound)
 
     def test_bad_d(self):
         with pytest.raises(ValueError):

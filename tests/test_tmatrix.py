@@ -1,7 +1,7 @@
 import pytest
 
 from hilbertcm.exactnum import prime_factors
-from hilbertcm.quadcm import enumerate_fields
+from hilbertcm.quadcm import CmFieldData, QuadElem, enumerate_fields
 from hilbertcm.tmatrix import (
     TMatrixError,
     admissible_n,
@@ -59,6 +59,28 @@ class TestBuildTMatrix:
         minus = build_tmatrix(field145, 5, -1)
         assert plus.entries() != minus.entries()
         assert plus.det == minus.det == (145 - 25) // 5
+
+
+class TestStructuralChecks:
+    """Field data built directly, skipping validation, can break the
+    structural guarantees; build_tmatrix refuses it with TMatrixError."""
+
+    @pytest.mark.parametrize(
+        "u, v, n, mu, message",
+        [
+            (-58, -6, 4, -1, "diagonal mod-4 pattern"),  # Dtilde = 796 = 0 mod 4
+            (-57, -3, 9, 1, "prime 3 divides both"),  # Dtilde = 801 = 9 * 89
+        ],
+    )
+    def test_rejects(self, u, v, n, mu, message):
+        delta = QuadElem.from_uv(5, u, v)
+        cm = CmFieldData(5, delta, QuadElem(5, 0, 1), (u * u - 5 * v * v) // 4, u, v)
+        with pytest.raises(TMatrixError, match=message):
+            build_tmatrix(cm, n, mu)
+
+    def test_rejects_under_python_O(self, run_under_python_O):
+        out = run_under_python_O(f"{__file__}::TestStructuralChecks::test_rejects")
+        assert "2 passed" in out
 
 
 class TestUniqueness:
