@@ -5,6 +5,8 @@ discriminants d1, d2 = 1 mod 4 with Dtilde = d1*d2.  The per-prime formula is
 the main one, evaluated by the same kernel in intersect, with the symbol
 (-alpha_l, l)_l replaced by the character value eps(l) and the summation
 running over positive n with (Dtilde - n**2)/4 a positive multiple of p.
+`_pair_table` rows each m once and is memoized for the last pair, so
+`gz_total` and its per-prime calls share one build.
 
 An independent oracle evaluates sum 4/(w1*w2) * log|j(tau1) - j(tau2)| over
 Heegner points by the q-expansion j = E4**3/Delta at arbitrary precision;
@@ -15,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp
 
-from .exactnum import is_squarefree, kronecker_symbol
-from .intersect import IntersectionResult, coefficient_at_p, formal_sum
+from .exactnum import is_prime, is_squarefree, kronecker_symbol
+from .intersect import IntersectionResult, Row, _by_prime, _coefficient, _row, formal_sum
 from .tmatrix import admissible_m
 
 
@@ -67,18 +69,26 @@ def epsilon_of(l: int, params: GzParams) -> int:
     raise GzInputError(f"{l} divides both discriminants")
 
 
+@lru_cache(maxsize=1)
+def _pair_table(params: GzParams) -> dict[int, list[tuple[int, Row]]]:
+    """Each prime p mapped to the (m, row) pairs with p | m, ascending in n."""
+    sign = partial(epsilon_of, params=params)
+    return _by_prime((m, _row(m, sign)) for m in admissible_m(params.dtilde, 4).values())
+
+
 def gz_intersection_at_p(params: GzParams, p: int) -> Fraction:
     """Coefficient of log p in the degenerate-case intersection number."""
-    sign = partial(epsilon_of, params=params)
-    return coefficient_at_p(p, [(m, sign) for m in admissible_m(params.dtilde, 4).values()])
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _coefficient(p, [row for _, row in _pair_table(params).get(p, ())])
 
 
 def gz_total(params: GzParams) -> IntersectionResult:
     """The full formal sum for the pair (d1, d2); support primes are at most
     d1*d2/4."""
-    ms = admissible_m(params.dtilde, 4).values()
     at_p = partial(gz_intersection_at_p, params)
-    return formal_sum(ms, at_p, params.dtilde // 4, f"d1={params.d1}, d2={params.d2}")
+    primes = sorted(_pair_table(params))
+    return formal_sum(primes, at_p, params.dtilde // 4, f"d1={params.d1}, d2={params.d2}")
 
 
 @dataclass(frozen=True)

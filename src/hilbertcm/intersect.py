@@ -6,9 +6,12 @@ diagonal entry of T(mu*n); the per-prime intersection number is
 
     (1/2) * sum_n (t_p + 1) * sum_mu  prod_l beta_l.
 
-The kernel (`coefficient_at_p`, `formal_sum`) evaluates this sum over
-(m, sign) pairs with the local symbol as a parameter, so the Gross-Zagier
-case in gzmoduli, where the symbol is eps(l), runs through the same code.
+The kernel: `_row` factors m once into (l, t_l, sign(l)) with the local
+symbol as a parameter, so the Gross-Zagier case (symbol eps(l)) shares it;
+`_coefficient` sums over rows and `formal_sum` assembles the coefficients.
+`_field_table` builds each T(mu*n) of a field once with its row, filed under
+every p | m and memoized for the last field, so the per-prime views on one
+field (`intersection_at_p`, `candidate_primes`, `b1_at_p`) share one build.
 
 Route two (reflex side): b1(p) counts ideals of given relative norm in the
 reflex CM field via rho-factors, driven by the splitting behaviour of each
@@ -21,7 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
@@ -33,7 +36,7 @@ from .exactnum import (
     primes_up_to,
 )
 from .quadcm import CmFieldData
-from .tmatrix import TMatrix, admissible_m, admissible_n, build_tmatrix
+from .tmatrix import TMatrix, all_tmatrices
 
 log = logging.getLogger(__name__)
 
@@ -98,43 +101,42 @@ def alpha_unit(T: TMatrix, l: int) -> int:
     )
 
 
-def _beta(t: int, sign: int, at_p: bool) -> Fraction:
+def _beta(t: int, sign: int, at_p: bool) -> int:
     """The local factor at a prime l exactly dividing m to the power t, with
-    local symbol `sign`; `at_p` marks l = p."""
+    local symbol `sign`; `at_p` marks l = p.  Always an integer."""
     if at_p:
-        return Fraction(1 - sign**t, 2)
+        return (1 - sign**t) // 2
     if sign == -1:
-        return Fraction(1 + (-1) ** t, 2)
-    return Fraction(t + 1)
+        return (1 + (-1) ** t) // 2
+    return t + 1
 
 
-def coefficient_at_p(p: int, pairs: Iterable[tuple[int, Callable[[int], int]]]) -> Fraction:
-    """(1/2) * sum (t_p + 1) * prod_l beta_l over the (m, sign) pairs with
-    p | m, where sign(l) is the local symbol at l."""
-    total = Fraction(0)
-    for m, sign in pairs:
-        if m % p:
-            continue
-        prod = Fraction(1)
-        for l in prime_factors(m):
-            prod *= _beta(padic_valuation(m, l), sign(l), l == p)
-            if prod == 0:
-                break
-        total += (padic_valuation(m, p) + 1) * prod
-    return total / 2
+Row = tuple[tuple[int, int, int], ...]
 
 
-def _primes_dividing(ms: Iterable[int]) -> list[int]:
-    return sorted({l for m in ms for l in prime_factors(m)})
+def _row(m: int, sign: Callable[[int], int]) -> Row:
+    """(l, t_l, sign(l)) per prime l | m, ascending: one factorization, one symbol per l."""
+    return tuple((l, padic_valuation(m, l), sign(l)) for l in prime_factors(m))
+
+
+def _coefficient(p: int, rows: Iterable[Row]) -> Fraction:
+    """(1/2) * sum (t_p + 1) * prod_l beta_l over rows of m divisible by p."""
+    total = 0
+    for row in rows:
+        prod = 1
+        for l, t, sign in row:
+            prod *= (t + 1) * _beta(t, sign, True) if l == p else _beta(t, sign, False)
+        total += prod
+    return Fraction(total, 2)
 
 
 def formal_sum(
-    ms: Iterable[int], at_p: Callable[[int], Fraction], bound: int, descriptor: str
+    primes: Iterable[int], at_p: Callable[[int], Fraction], bound: int, descriptor: str
 ) -> IntersectionResult:
-    """sum_p at_p(p) * log p over the primes p dividing some m.  Every nonzero
+    """sum_p at_p(p) * log p over the candidate primes.  Every nonzero
     coefficient must lie in (1/2)Z>0 at a prime p <= bound."""
     terms: dict[int, Fraction] = {}
-    for p in _primes_dividing(ms):
+    for p in primes:
         c = at_p(p)
         if not c:
             continue
@@ -146,6 +148,15 @@ def formal_sum(
     return IntersectionResult(terms, descriptor)
 
 
+def _by_prime(entries: Iterable[tuple[object, Row]]) -> dict:
+    """File each (key, row) entry under every prime of its row, in order."""
+    table: dict[int, list] = {}
+    for entry in entries:
+        for l, _, _ in entry[1]:
+            table.setdefault(l, []).append(entry)
+    return table
+
+
 def _symbol(T: TMatrix, l: int) -> int:
     """The local symbol (-alpha_l, l)_l of the closed form."""
     return hilbert_symbol(-alpha_unit(T, l), l, l)
@@ -154,7 +165,7 @@ def _symbol(T: TMatrix, l: int) -> int:
 def beta_l(p: int, T: TMatrix, l: int) -> Fraction:
     """The local factor at l of the closed-form product for the prime p.
     Requires l | (Dtilde - n**2)/(4D)."""
-    return _beta(padic_valuation(T.quarter_det, l), _symbol(T, l), l == p)
+    return Fraction(_beta(padic_valuation(T.quarter_det, l), _symbol(T, l), l == p))
 
 
 def local_factors(p: int, T: TMatrix) -> tuple[LocalFactor, ...]:
@@ -165,7 +176,8 @@ def local_factors(p: int, T: TMatrix) -> tuple[LocalFactor, ...]:
         alpha = alpha_unit(T, l)
         t = padic_valuation(T.quarter_det, l)
         sym = hilbert_symbol(-alpha, l, l)
-        out.append(LocalFactor(l=l, alpha=alpha, t_l=t, symbol=sym, beta=_beta(t, sym, l == p)))
+        beta = Fraction(_beta(t, sym, l == p))
+        out.append(LocalFactor(l=l, alpha=alpha, t_l=t, symbol=sym, beta=beta))
     return tuple(out)
 
 
@@ -174,34 +186,34 @@ def beta_product(p: int, T: TMatrix) -> Fraction:
     m = T.quarter_det
     if m % p:
         raise ValueError(f"(Dtilde - n**2)/(4D) = {m} is not a positive multiple of {p}")
-    # The kernel's sum over this one pair is (t_p + 1) * product / 2.
-    return 2 * coefficient_at_p(p, [(m, partial(_symbol, T))]) / (padic_valuation(m, p) + 1)
+    # The kernel's sum over this one row is (t_p + 1) * product / 2.
+    return 2 * _coefficient(p, [_row(m, partial(_symbol, T))]) / (padic_valuation(m, p) + 1)
 
 
-def _tmatrices_at_p(cm: CmFieldData, p: int) -> list[TMatrix]:
-    """Every T(mu*n) with p dividing (Dtilde - n**2)/(4D), ordered by (n, -mu)."""
-    ns = [(n, mus) for n, mus in admissible_n(cm) if (cm.dtilde - n * n) // (4 * cm.D) % p == 0]
-    return [build_tmatrix(cm, n, mu) for n, mus in ns for mu in mus]
+@lru_cache(maxsize=1)
+def _field_table(cm: CmFieldData) -> dict[int, list[tuple[TMatrix, Row]]]:
+    """Each prime p mapped to the (T, row) pairs with p | m, by (n, -mu).  One
+    field is kept: its calls come together, and more would hold a sweep."""
+    return _by_prime((T, _row(T.quarter_det, partial(_symbol, T))) for T in all_tmatrices(cm))
 
 
 def intersection_at_p(cm: CmFieldData, p: int) -> Fraction:
     """The coefficient of log p in the intersection number (closed form)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    pairs = [(T.quarter_det, partial(_symbol, T)) for T in _tmatrices_at_p(cm, p)]
-    return coefficient_at_p(p, pairs)
+    return _coefficient(p, [row for _, row in _field_table(cm).get(p, ())])
 
 
 def candidate_primes(cm: CmFieldData) -> list[int]:
     """Primes that can possibly support the intersection: divisors of some
     (Dtilde - n**2)/(4D)."""
-    return _primes_dividing(admissible_m(cm.dtilde, 4 * cm.D).values())
+    return sorted(_field_table(cm))
 
 
 def intersection_total(cm: CmFieldData) -> IntersectionResult:
     """The full formal sum; support is contained in primes <= Dtilde/(4D)."""
-    ms = admissible_m(cm.dtilde, 4 * cm.D).values()
-    return formal_sum(ms, partial(intersection_at_p, cm), cm.dtilde // (4 * cm.D), cm.describe())
+    at_p = partial(intersection_at_p, cm)
+    return formal_sum(candidate_primes(cm), at_p, cm.dtilde // (4 * cm.D), cm.describe())
 
 
 def split_in_Ktilde(
@@ -288,7 +300,7 @@ def b1_at_p(cm: CmFieldData, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = 0
-    for T in _tmatrices_at_p(cm, p):
+    for T, _ in _field_table(cm).get(p, ()):
         data = reflex_local_data(p, T)
         at_p = next(d for d in data if d.l == p)
         if at_p.splitting_in_Ktilde == SPLIT:

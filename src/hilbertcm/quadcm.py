@@ -200,12 +200,17 @@ def field_violations(
             violations.append(
                 ("dtilde-square", f"Dtilde = {dtilde} is a square (biquadratic)")
             )
-    q = we * we - d
-    if q.x % 4 or q.y % 4:
+    if not _w_congruent(we, d):
         violations.append(
-            ("w-congruence", f"w**2 - delta = {q} is not 0 mod 4")
+            ("w-congruence", f"w**2 - delta = {we * we - d} is not 0 mod 4")
         )
     return violations
+
+
+def _w_congruent(w: QuadElem, delta: QuadElem) -> bool:
+    """w**2 = delta mod 4, so that (w + sqrt(delta))/2 is integral."""
+    q = w * w - delta
+    return q.x % 4 == 0 and q.y % 4 == 0
 
 
 def validate_cm_field(
@@ -253,14 +258,11 @@ def enumerate_fields(D: int, dtilde_bound: int) -> list[CmFieldData]:
             if isqrt(dtilde) ** 2 == dtilde or not is_squarefree(dtilde):
                 continue
             delta = QuadElem.from_uv(D, u, v)
-            # (w + 2z)**2 = w**2 mod 4, so validity depends only on w mod 2.
+            # Only w mod 2 matters, as (w + 2z)**2 = w**2 mod 4; the scan checked the rest.
             for w0 in range(2):
                 for w1 in range(2):
                     key = (dtilde, w0, w1)
-                    if key in found:
-                        continue
-                    try:
-                        found[key] = validate_cm_field(D, delta, (w0, w1))
-                    except FieldValidationError:
-                        continue
+                    w = QuadElem(D, w0, w1)
+                    if key not in found and _w_congruent(w, delta):
+                        found[key] = validate_cm_field(D, delta, w)
     return [found[key] for key in sorted(found)]

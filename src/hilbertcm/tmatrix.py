@@ -16,7 +16,7 @@ dividing det divides both a and c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .exactnum import prime_factors
 from .quadcm import CmFieldData
@@ -114,16 +114,12 @@ def build_tmatrix(cm: CmFieldData, n: int, mu: int) -> TMatrix:
         raise TMatrixError(f"T = {(a, b, c)} is not positive definite")
     if (a % 4, c % 4) not in {(0, 3), (3, 0), (3, 3)}:
         raise TMatrixError(f"T = {(a, b, c)} violates the diagonal mod-4 pattern")
-    for q in prime_factors(det):
-        if a % q == 0 and c % q == 0:
-            raise TMatrixError(f"prime {q} divides both diagonal entries of T = {(a, b, c)}")
+    if gcd(a, c, det) > 1:
+        q = prime_factors(gcd(a, c, det))[0]
+        raise TMatrixError(f"prime {q} divides both diagonal entries of T = {(a, b, c)}")
     return TMatrix(cm, n, mu, a, b, c)
 
 
 def all_tmatrices(cm: CmFieldData) -> list[TMatrix]:
     """Every T(mu*n) of the field, ordered by (n, -mu)."""
-    out = []
-    for n, mus in admissible_n(cm):
-        for mu in mus:
-            out.append(build_tmatrix(cm, n, mu))
-    return out
+    return [build_tmatrix(cm, n, mu) for n, mus in admissible_n(cm) for mu in mus]

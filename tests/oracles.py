@@ -196,3 +196,50 @@ def enumerate_fields_oracle(D: int, dtilde_bound: int) -> list[tuple[int, int, i
                     if q.x % 4 == 0 and q.y % 4 == 0 and key not in found:
                         found[key] = (dtilde, u, v, w0, w1)
     return [found[key] for key in sorted(found)]
+
+
+def _trial_factor(m: int) -> dict[int, int]:
+    """{prime: exponent} of m >= 1 by plain trial division."""
+    out: dict[int, int] = {}
+    q = 2
+    while q * q <= m:
+        while m % q == 0:
+            out[q] = out.get(q, 0) + 1
+            m //= q
+        q += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _unit_symbol(u: int, l: int) -> int:
+    """(u, l)_l for a unit u at the prime l: the Legendre symbol of u by a
+    scan of squares for odd l, and (-1)**((u**2 - 1)/8) for l = 2."""
+    if l == 2:
+        return 1 if u % 8 in (1, 7) else -1
+    return legendre_euler(u, l)
+
+
+def intersection_at_p_oracle(cm: CmFieldData, p: int) -> Fraction:
+    """(1/2) * sum (t_p + 1) * prod_l beta_l, summed directly: every n is
+    scanned, T(mu*n) comes from brute_force_tmatrices, m is factored by
+    trial division and each beta_l is taken from its case table."""
+    total = Fraction(0)
+    for n in range(1, isqrt(cm.dtilde) + 1):
+        rem = cm.dtilde - n * n
+        if rem <= 0 or rem % (4 * cm.D) or (rem // (4 * cm.D)) % p:
+            continue
+        factors = _trial_factor(rem // (4 * cm.D))
+        for mu in (1, -1):
+            for a, _, c in brute_force_tmatrices(cm, n, mu):
+                prod = factors[p] + 1
+                for l, t in factors.items():
+                    symbol = _unit_symbol(-(a if a % l else c), l)
+                    if l == p:
+                        prod *= 1 if symbol == -1 and t % 2 else 0
+                    elif symbol == 1:
+                        prod *= t + 1
+                    else:
+                        prod *= 1 if t % 2 == 0 else 0
+                total += prod
+    return total / 2

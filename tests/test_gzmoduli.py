@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 from mpmath import mp
 
-from hilbertcm.exactnum import padic_valuation
+from hilbertcm import gzmoduli
+from hilbertcm.exactnum import padic_valuation, primes_up_to
 from hilbertcm.gzmoduli import (
     GzInputError,
     GzParams,
@@ -61,6 +62,10 @@ class TestGzIntersection:
         assert gz_intersection_at_p(params, 3) == 1
         assert gz_intersection_at_p(params, 11) == 0
 
+    def test_bad_prime(self):
+        with pytest.raises(ValueError, match="not prime"):
+            gz_intersection_at_p(GzParams(-7, -43), 15)  # 15 | m = 75 at n = 1
+
     def test_total_small(self):
         assert gz_total(GzParams(-3, -7)).terms == {
             3: Fraction(1),
@@ -103,6 +108,22 @@ class TestGzIntersection:
                             epsilon_of(p, params) ** padic_valuation(m, p)
                         )
                 assert -1 in witnesses, (d1, d2, p)
+
+
+class TestPairTableMemo:
+    def test_alternating_pairs(self):
+        pairs = [GzParams(-7, -43), GzParams(-11, -67)]
+        primes = primes_up_to(max(params.dtilde // 4 for params in pairs))
+        interleaved = {
+            (params, p): gz_intersection_at_p(params, p) for p in primes for params in pairs
+        }
+        assert any(interleaved.values())
+        for params in pairs:
+            gzmoduli._pair_table.cache_clear()
+            total = gz_total(params).terms
+            alone = {(params, p): gz_intersection_at_p(params, p) for p in primes}
+            assert alone == {key: interleaved[key] for key in alone}
+            assert total == {p: c for (_, p), c in alone.items() if c}
 
 
 class TestReducedForms:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import intersection_at_p_oracle
 
 from hilbertcm import gzmoduli, intersect
 from hilbertcm.exactnum import (
@@ -144,6 +145,43 @@ class TestIntersection:
     def test_bad_prime(self, field41):
         with pytest.raises(ValueError):
             intersection_at_p(field41, 4)
+
+
+class TestPerPrimeOracle:
+    @pytest.mark.parametrize("D", [5, 13])
+    def test_every_prime_up_to_the_bound(self, D):
+        nonzero = 0
+        for cm in enumerate_fields(D, 600):
+            for p in primes_up_to(cm.dtilde // (4 * cm.D)):
+                expected = intersection_at_p_oracle(cm, p)
+                assert intersection_at_p(cm, p) == expected, (cm.describe(), p)
+                nonzero += expected != 0
+        assert nonzero
+
+
+class TestFieldTableMemo:
+    """The per-field table keeps one field; calls that alternate between
+    fields must each see their own field's table."""
+
+    def test_alternating_fields(self, field41, field109, field145):
+        fields = [field41, field109, field145, *enumerate_fields(13, 2000)[-2:]]
+        primes = primes_up_to(max(cm.dtilde // (4 * cm.D) for cm in fields))
+        interleaved = {
+            (cm, p): (intersection_at_p(cm, p), b1_at_p(cm, p))
+            for p in primes
+            for cm in fields
+        }
+        assert any(c for c, _ in interleaved.values())
+        for cm in fields:
+            intersect._field_table.cache_clear()
+            alone = {(cm, p): (intersection_at_p(cm, p), b1_at_p(cm, p)) for p in primes}
+            assert alone == {key: interleaved[key] for key in alone}
+
+    def test_one_build_per_field(self, field145):
+        intersect._field_table.cache_clear()
+        intersection_total(field145)
+        verify_main_identity(field145)
+        assert intersect._field_table.cache_info().misses == 1
 
 
 class TestSplitInKtilde:
@@ -304,13 +342,13 @@ class TestFormalSumInvariants:
         ],
     )
     def test_rejects(self, monkeypatch, field41, route, value, m, message):
-        module, at_p = {
-            "closed": (intersect, "intersection_at_p"),
-            "gz": (gzmoduli, "gz_intersection_at_p"),
+        module, at_p, table = {
+            "closed": (intersect, "intersection_at_p", "_field_table"),
+            "gz": (gzmoduli, "gz_intersection_at_p", "_pair_table"),
         }[route]
         monkeypatch.setattr(module, at_p, lambda *_: value)
         if m is not None:
-            monkeypatch.setattr(module, "admissible_m", lambda *_: {1: m})
+            monkeypatch.setattr(module, table, lambda *_: {m: []})
         with pytest.raises(ValueError, match=message):
             if route == "closed":
                 intersection_total(field41)
