@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 from mpmath import mp
 
 from . import __version__
-from .exactnum import primes_up_to
 from .gzmoduli import (
     MIN_PRECISION,
     GzInputError,
@@ -29,7 +28,7 @@ from .gzmoduli import (
     gz_total,
     singular_moduli_log,
 )
-from .intersect import IntersectionResult, b1_at_p, intersection_total
+from .intersect import IntersectionResult, b1_at_p, candidate_primes, intersection_total
 from .quadcm import (
     CmFieldData,
     FieldValidationError,
@@ -139,8 +138,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _verify_field(cm: CmFieldData, result: IntersectionResult) -> tuple[dict[int, int], bool]:
     """b1 values on the support, plus the identity verdict b1(p) = 2 * c_p
-    over all primes p up to Dtilde/(4D)."""
-    primes = primes_up_to(cm.dtilde // (4 * cm.D))
+    over all primes p up to Dtilde/(4D).  Only the candidate primes are
+    evaluated: any other p divides no m, so b1(p) and c_p are both empty
+    sums there and vanish together."""
+    primes = candidate_primes(cm)
     b1 = {p: b1_at_p(cm, p) for p in primes}
     verified = all(b1[p] == 2 * result.terms.get(p, 0) for p in primes)
     return {p: b1[p] for p in result.terms}, verified

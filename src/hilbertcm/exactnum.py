@@ -30,6 +30,9 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # A composite with no prime factor up to 37 is at least 41**2.
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -66,6 +69,12 @@ def padic_valuation(x: int, p: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x: int, p: int) -> int:
+    """padic_valuation without its checks, for a caller that knows x != 0
+    and p prime."""
     x = abs(x)
     e = 0
     while x % p == 0:
@@ -217,8 +226,8 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, v: int | str) -> int:
     p = v
     ai = _as_square_free_int(a)
     bi = _as_square_free_int(b)
-    alpha = padic_valuation(ai, p)
-    beta = padic_valuation(bi, p)
+    alpha = _valuation(ai, p)
+    beta = _valuation(bi, p)
     u = ai // p**alpha
     w = bi // p**beta
     if p != 2:

@@ -15,8 +15,14 @@ field (`intersection_at_p`, `candidate_primes`, `b1_at_p`) share one build.
 
 Route two (reflex side): b1(p) counts ideals of given relative norm in the
 reflex CM field via rho-factors, driven by the splitting behaviour of each
-prime.  It shares nothing with the kernel past the T matrices, and the
-identity b1(p) = 2 * (intersection at p) is the project's main cross-check.
+prime.  It shares the T matrices and the factorization of each m with the
+kernel: `_reflex_table` takes (l, t_l) from the field table's rows and adds
+the splitting of the chosen prime above l from `split_in_Ktilde`, once per
+(T, l), only when b1 is asked for.  The splitting comes from the same symbol
+(-alpha_l, l)_l that the kernel evaluates, so the symbol itself is checked
+independently by the brute-force p-adic Hilbert-symbol test; rho meets beta
+only in the identity b1(p) = 2 * (intersection at p), the project's main
+cross-check.
 """
 
 from __future__ import annotations
@@ -28,12 +34,12 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
+    factorize,
     hilbert_symbol,
     is_prime,
     kronecker_symbol,
     padic_valuation,
     prime_factors,
-    primes_up_to,
 )
 from .quadcm import CmFieldData
 from .tmatrix import TMatrix, all_tmatrices
@@ -265,29 +271,44 @@ def rho_local(splitting: str, ord: int) -> int:
     raise ValueError(f"unknown splitting {splitting!r}")
 
 
+def _reflex_splitting(T: TMatrix, l: int) -> str:
+    """Splitting in the reflex CM field of the chosen prime above l | m."""
+    # l | Dtilde - n**2 with l coprime to n forces split or ramified.
+    if kronecker_symbol(T.cm.dtilde, l) == -1:
+        raise ValueError(f"{l} divides (Dtilde - n**2)/(4D) but is inert in Q(sqrt(Dtilde))")
+    return split_in_Ktilde(T, l)
+
+
 def reflex_local_data(p: int, T: TMatrix) -> tuple[ReflexLocalData, ...]:
     """Splitting data for every prime l dividing (Dtilde - n**2)/(4D).
 
     The chosen prime above l carries valuation t_l for l != p and t_p - 1
     for l = p (the partner prime is chosen to carry none).
     """
-    cm = T.cm
-    out = []
-    for l in prime_factors(T.quarter_det):
-        # l | Dtilde - n**2 with l coprime to n forces split or ramified.
-        if kronecker_symbol(cm.dtilde, l) == -1:
-            raise ValueError(f"{l} divides (Dtilde - n**2)/(4D) but is inert in Q(sqrt(Dtilde))")
-        in_ftilde = RAMIFIED if cm.dtilde % l == 0 else SPLIT
-        t_l = padic_valuation(T.quarter_det, l)
-        out.append(
-            ReflexLocalData(
-                l=l,
-                splitting_in_Ftilde=in_ftilde,
-                splitting_in_Ktilde=split_in_Ktilde(T, l),
-                ord_at_chosen_prime=t_l - 1 if l == p else t_l,
-            )
+    return tuple(
+        ReflexLocalData(
+            l=l,
+            splitting_in_Ftilde=RAMIFIED if T.cm.dtilde % l == 0 else SPLIT,
+            splitting_in_Ktilde=_reflex_splitting(T, l),
+            ord_at_chosen_prime=t_l - 1 if l == p else t_l,
         )
-    return tuple(out)
+        for l, t_l in factorize(T.quarter_det).factors
+    )
+
+
+ReflexRow = tuple[tuple[int, int, str], ...]
+
+
+@lru_cache(maxsize=1)
+def _reflex_table(cm: CmFieldData) -> dict[int, list[tuple[TMatrix, ReflexRow]]]:
+    """The field table with (l, t_l, splitting) in place of each (l, t_l,
+    symbol): one splitting per (T, l).  Built only for b1; one field is kept."""
+    return _by_prime(
+        (T, tuple((l, t, _reflex_splitting(T, l)) for l, t, _ in row))
+        for p, entries in _field_table(cm).items()
+        for T, row in entries
+        if row[0][0] == p  # each entry once, under its least prime
+    )
 
 
 def b1_at_p(cm: CmFieldData, p: int) -> int:
@@ -300,22 +321,25 @@ def b1_at_p(cm: CmFieldData, p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     total = 0
-    for T, _ in _field_table(cm).get(p, ()):
-        data = reflex_local_data(p, T)
-        at_p = next(d for d in data if d.l == p)
-        if at_p.splitting_in_Ktilde == SPLIT:
+    for _, row in _reflex_table(cm).get(p, ()):
+        t_p, at_p = next((t, splitting) for l, t, splitting in row if l == p)
+        if at_p == SPLIT:
             continue
-        prod = 1
-        for d in data:
-            prod *= rho_local(d.splitting_in_Ktilde, d.ord_at_chosen_prime)
+        prod = t_p + 1
+        for l, t, splitting in row:
+            prod *= rho_local(splitting, t - 1 if l == p else t)
             if prod == 0:
                 break
-        total += (padic_valuation(T.quarter_det, p) + 1) * prod
+        total += prod
     return total
 
 
 def verify_main_identity(cm: CmFieldData) -> bool:
-    """b1(p) = 2 * (intersection at p) over every prime p <= Dtilde/(4D)."""
+    """b1(p) = 2 * (intersection at p) at every prime p <= Dtilde/(4D).
+
+    Only the candidate primes are evaluated: any other p divides no m, so
+    b1(p) and the closed-form coefficient are both empty sums there and
+    vanish together.
+    """
     terms = intersection_total(cm).terms
-    bound = cm.dtilde // (4 * cm.D)
-    return all(b1_at_p(cm, p) == 2 * terms.get(p, 0) for p in primes_up_to(bound))
+    return all(b1_at_p(cm, p) == 2 * terms.get(p, 0) for p in candidate_primes(cm))

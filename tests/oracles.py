@@ -243,3 +243,35 @@ def intersection_at_p_oracle(cm: CmFieldData, p: int) -> Fraction:
                         prod *= 1 if t % 2 == 0 else 0
                 total += prod
     return total / 2
+
+
+def b1_at_p_oracle(cm: CmFieldData, p: int) -> int:
+    """sum (t_p + 1) * prod_l rho_l, summed directly: every n is scanned,
+    T(mu*n) comes from brute_force_tmatrices and m is factored by trial
+    division.  The chosen prime above l splits exactly when the unit symbol
+    of -alpha_l is 1 (alpha_l = a at l = D); a term vanishes when the prime
+    above p splits, and each rho_l is taken from its case table, with
+    ord = t_p - 1 at p."""
+    total = 0
+    for n in range(1, isqrt(cm.dtilde) + 1):
+        rem = cm.dtilde - n * n
+        if rem <= 0 or rem % (4 * cm.D) or (rem // (4 * cm.D)) % p:
+            continue
+        factors = _trial_factor(rem // (4 * cm.D))
+        for mu in (1, -1):
+            for a, _, c in brute_force_tmatrices(cm, n, mu):
+                split = {
+                    l: _unit_symbol(-(a if l == cm.D or a % l else c), l) == 1
+                    for l in factors
+                }
+                if split[p]:
+                    continue
+                prod = factors[p] + 1
+                for l, t in factors.items():
+                    order = t - 1 if l == p else t
+                    if split[l]:
+                        prod *= order + 1
+                    else:
+                        prod *= 1 if order % 2 == 0 else 0
+                total += prod
+    return total

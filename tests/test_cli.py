@@ -163,12 +163,13 @@ class TestIntersect:
             assert f"b1={term['b1']}" in text_out
 
     def test_verify_checks_primes_outside_support(self, capsys, monkeypatch):
-        # Dtilde = 61: the support is {3}, but every p <= 61/20 is checked.
+        # Dtilde = 281: the support is {2, 7}, but the candidate prime 5,
+        # which divides some m with c_5 = 0, is checked too.
         real = cli.b1_at_p
-        monkeypatch.setattr(cli, "b1_at_p", lambda cm, p: 1 if p == 2 else real(cm, p))
+        monkeypatch.setattr(cli, "b1_at_p", lambda cm, p: 1 if p == 5 else real(cm, p))
         code, out, _ = run_cli(
             capsys,
-            "intersect", "--D", "5", "--delta", "-18,4", "--w", "1,0",
+            "intersect", "--D", "5", "--delta", "-73,29", "--w", "0,1",
             "--verify", "--format", "json",
         )
         assert code == 1

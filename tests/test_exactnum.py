@@ -66,6 +66,14 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
 
 
+def test_is_prime_against_the_sieve():
+    # The range crosses 37**2 and 41**2, below which is_prime ends after its
+    # trial division by the witnesses.
+    primes = set(primes_up_to(5000))
+    for n in range(-5, 5001):
+        assert is_prime(n) == (n in primes), n
+
+
 class TestPadicValuation:
     def test_examples(self):
         assert padic_valuation(40, 2) == 3

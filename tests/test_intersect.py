@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import intersection_at_p_oracle
+from oracles import b1_at_p_oracle, intersection_at_p_oracle
 
 from hilbertcm import gzmoduli, intersect
 from hilbertcm.exactnum import (
@@ -158,6 +158,18 @@ class TestPerPrimeOracle:
                 nonzero += expected != 0
         assert nonzero
 
+    @pytest.mark.parametrize("D", [5, 13])
+    def test_b1_every_prime_up_to_the_bound(self, D):
+        # The drivers evaluate b1 at the candidate primes only; this checks
+        # b1 = 0 at every other prime against a route that shares no table.
+        nonzero = 0
+        for cm in enumerate_fields(D, 600):
+            for p in primes_up_to(cm.dtilde // (4 * cm.D)):
+                expected = b1_at_p_oracle(cm, p)
+                assert b1_at_p(cm, p) == expected, (cm.describe(), p)
+                nonzero += expected != 0
+        assert nonzero
+
 
 class TestFieldTableMemo:
     """The per-field table keeps one field; calls that alternate between
@@ -174,14 +186,18 @@ class TestFieldTableMemo:
         assert any(c for c, _ in interleaved.values())
         for cm in fields:
             intersect._field_table.cache_clear()
+            intersect._reflex_table.cache_clear()
             alone = {(cm, p): (intersection_at_p(cm, p), b1_at_p(cm, p)) for p in primes}
             assert alone == {key: interleaved[key] for key in alone}
 
     def test_one_build_per_field(self, field145):
         intersect._field_table.cache_clear()
+        intersect._reflex_table.cache_clear()
         intersection_total(field145)
+        assert intersect._reflex_table.cache_info().misses == 0
         verify_main_identity(field145)
         assert intersect._field_table.cache_info().misses == 1
+        assert intersect._reflex_table.cache_info().misses == 1
 
 
 class TestSplitInKtilde:
