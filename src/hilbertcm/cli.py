@@ -22,16 +22,14 @@ from mpmath import mp
 from . import __version__
 from .gzmoduli import (
     MIN_PRECISION,
-    GzInputError,
     GzParams,
     formal_sum_log,
     gz_total,
     singular_moduli_log,
 )
-from .intersect import IntersectionResult, b1_at_p, candidate_primes, intersection_total
+from .intersect import IntersectionResult, _identity, intersection_total
 from .quadcm import (
     CmFieldData,
-    FieldValidationError,
     enumerate_fields,
     field_violations,
     validate_cm_field,
@@ -136,24 +134,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_field(cm: CmFieldData, result: IntersectionResult) -> tuple[dict[int, int], bool]:
-    """b1 values on the support, plus the identity verdict b1(p) = 2 * c_p
-    over all primes p up to Dtilde/(4D).  Only the candidate primes are
-    evaluated: any other p divides no m, so b1(p) and c_p are both empty
-    sums there and vanish together."""
-    primes = candidate_primes(cm)
-    b1 = {p: b1_at_p(cm, p) for p in primes}
-    verified = all(b1[p] == 2 * result.terms.get(p, 0) for p in primes)
-    return {p: b1[p] for p in result.terms}, verified
-
-
 def cmd_intersect(args: argparse.Namespace) -> int:
     cm = validate_cm_field(args.D, args.delta, args.w)
     result = intersection_total(cm)
     b1: dict[int, int] | None = None
     verified: bool | None = None
     if args.verify:
-        b1, verified = _verify_field(cm, result)
+        b1, verified = _identity(cm, result.terms)
     if args.format == "json":
         payload: dict[str, object] = {
             "D": cm.D,
@@ -208,7 +195,7 @@ def cmd_gz(args: argparse.Namespace) -> int:
 
 def _enumerate_entry(cm: CmFieldData) -> dict[str, object]:
     result = intersection_total(cm)
-    b1, verified = _verify_field(cm, result)
+    b1, verified = _identity(cm, result.terms)
     return {
         "D": cm.D,
         "Dtilde": cm.dtilde,
@@ -329,9 +316,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FieldValidationError, GzInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ import mpmath
 from mpmath import mp
 
 from .exactnum import is_prime, is_squarefree, kronecker_symbol
-from .intersect import IntersectionResult, Row, _by_prime, _coefficient, _row, formal_sum
+from .intersect import IntersectionResult, Row, _beta, _by_prime, _coefficient, _row, formal_sum
 from .tmatrix import admissible_m
 
 
@@ -80,7 +80,7 @@ def gz_intersection_at_p(params: GzParams, p: int) -> Fraction:
     """Coefficient of log p in the degenerate-case intersection number."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _coefficient(p, [row for _, row in _pair_table(params).get(p, ())])
+    return Fraction(_coefficient(p, [row for _, row in _pair_table(params).get(p, ())], _beta), 2)
 
 
 def gz_total(params: GzParams) -> IntersectionResult:

@@ -6,23 +6,26 @@ diagonal entry of T(mu*n); the per-prime intersection number is
 
     (1/2) * sum_n (t_p + 1) * sum_mu  prod_l beta_l.
 
-The kernel: `_row` factors m once into (l, t_l, sign(l)) with the local
-symbol as a parameter, so the Gross-Zagier case (symbol eps(l)) shares it;
-`_coefficient` sums over rows and `formal_sum` assembles the coefficients.
+The kernel: `_row` factors m once into (l, t_l, datum(l)) with the local
+datum as a parameter, and `_coefficient` sums (t_p + 1) * prod_l factor(...)
+over rows with the local factor as a parameter.  The closed form and the
+Gross-Zagier case (symbol eps(l)) take `_beta` over symbols and halve the
+sum; b1 takes `_rho` over splittings.  `formal_sum` assembles coefficients.
 `_field_table` builds each T(mu*n) of a field once with its row, filed under
 every p | m and memoized for the last field, so the per-prime views on one
 field (`intersection_at_p`, `candidate_primes`, `b1_at_p`) share one build.
 
 Route two (reflex side): b1(p) counts ideals of given relative norm in the
 reflex CM field via rho-factors, driven by the splitting behaviour of each
-prime.  It shares the T matrices and the factorization of each m with the
-kernel: `_reflex_table` takes (l, t_l) from the field table's rows and adds
-the splitting of the chosen prime above l from `split_in_Ktilde`, once per
-(T, l), only when b1 is asked for.  The splitting comes from the same symbol
-(-alpha_l, l)_l that the kernel evaluates, so the symbol itself is checked
-independently by the brute-force p-adic Hilbert-symbol test; rho meets beta
-only in the identity b1(p) = 2 * (intersection at p), the project's main
-cross-check.
+prime.  It shares the T matrices, the factorization of each m and the sum
+with the kernel: `_reflex_table` takes (l, t_l) from the field table's rows
+and adds the splitting of the chosen prime above l from `split_in_Ktilde`,
+once per (T, l), only when b1 is asked for.  The splitting comes from the
+same symbol (-alpha_l, l)_l that the closed form evaluates, so the symbol
+itself is checked independently by the brute-force p-adic Hilbert-symbol
+test; rho meets beta only in the identity b1(p) = 2 * (intersection at p),
+the project's main cross-check.  `_identity` is its one driver, for both
+`verify_main_identity` and the CLI.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping
 
 from .exactnum import (
-    factorize,
     hilbert_symbol,
     is_prime,
     kronecker_symbol,
@@ -79,12 +81,6 @@ class IntersectionResult:
     terms: Mapping[int, Fraction]
     descriptor: str
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def formal_sum(self) -> str:
         if not self.terms:
             return "0"
@@ -117,23 +113,27 @@ def _beta(t: int, sign: int, at_p: bool) -> int:
     return t + 1
 
 
-Row = tuple[tuple[int, int, int], ...]
+Row = tuple[tuple[int, int, object], ...]
 
 
-def _row(m: int, sign: Callable[[int], int]) -> Row:
-    """(l, t_l, sign(l)) per prime l | m, ascending: one factorization, one symbol per l."""
-    return tuple((l, padic_valuation(m, l), sign(l)) for l in prime_factors(m))
+def _row(m: int, datum: Callable[[int], object]) -> Row:
+    """(l, t_l, datum(l)) per prime l | m, ascending: one factorization, one
+    local datum (a symbol or a splitting) per l."""
+    return tuple((l, padic_valuation(m, l), datum(l)) for l in prime_factors(m))
 
 
-def _coefficient(p: int, rows: Iterable[Row]) -> Fraction:
-    """(1/2) * sum (t_p + 1) * prod_l beta_l over rows of m divisible by p."""
+def _coefficient(p: int, rows: Iterable[Row], factor: Callable[[int, object, bool], int]) -> int:
+    """sum (t_p + 1) * prod_l factor(t_l, datum_l, l == p) over rows of m
+    divisible by p: the one kernel of the closed form, Gross-Zagier and b1."""
     total = 0
     for row in rows:
-        prod = 1
-        for l, t, sign in row:
-            prod *= (t + 1) * _beta(t, sign, True) if l == p else _beta(t, sign, False)
-        total += prod
-    return Fraction(total, 2)
+        term = 1
+        for l, t, datum in row:
+            term *= (t + 1) * factor(t, datum, True) if l == p else factor(t, datum, False)
+            if not term:
+                break
+        total += term
+    return total
 
 
 def formal_sum(
@@ -177,14 +177,12 @@ def beta_l(p: int, T: TMatrix, l: int) -> Fraction:
 def local_factors(p: int, T: TMatrix) -> tuple[LocalFactor, ...]:
     """The LocalFactor list over the distinct primes dividing
     (Dtilde - n**2)/(4D), ascending."""
-    out = []
-    for l in prime_factors(T.quarter_det):
-        alpha = alpha_unit(T, l)
-        t = padic_valuation(T.quarter_det, l)
-        sym = hilbert_symbol(-alpha, l, l)
-        beta = Fraction(_beta(t, sym, l == p))
-        out.append(LocalFactor(l=l, alpha=alpha, t_l=t, symbol=sym, beta=beta))
-    return tuple(out)
+    return tuple(
+        LocalFactor(
+            l=l, alpha=alpha_unit(T, l), t_l=t, symbol=sym, beta=Fraction(_beta(t, sym, l == p))
+        )
+        for l, t, sym in _row(T.quarter_det, partial(_symbol, T))
+    )
 
 
 def beta_product(p: int, T: TMatrix) -> Fraction:
@@ -192,8 +190,9 @@ def beta_product(p: int, T: TMatrix) -> Fraction:
     m = T.quarter_det
     if m % p:
         raise ValueError(f"(Dtilde - n**2)/(4D) = {m} is not a positive multiple of {p}")
-    # The kernel's sum over this one row is (t_p + 1) * product / 2.
-    return 2 * _coefficient(p, [_row(m, partial(_symbol, T))]) / (padic_valuation(m, p) + 1)
+    # The kernel's sum over this one row is (t_p + 1) * product.
+    total = _coefficient(p, [_row(m, partial(_symbol, T))], _beta)
+    return Fraction(total, padic_valuation(m, p) + 1)
 
 
 @lru_cache(maxsize=1)
@@ -207,7 +206,7 @@ def intersection_at_p(cm: CmFieldData, p: int) -> Fraction:
     """The coefficient of log p in the intersection number (closed form)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _coefficient(p, [row for _, row in _field_table(cm).get(p, ())])
+    return Fraction(_coefficient(p, [row for _, row in _field_table(cm).get(p, ())], _beta), 2)
 
 
 def candidate_primes(cm: CmFieldData) -> list[int]:
@@ -271,6 +270,14 @@ def rho_local(splitting: str, ord: int) -> int:
     raise ValueError(f"unknown splitting {splitting!r}")
 
 
+def _rho(t: int, splitting: str, at_p: bool) -> int:
+    """The rho-factor at l | m; at l = p the chosen prime carries t_p - 1,
+    and the term vanishes when that prime splits."""
+    if at_p:
+        return 0 if splitting == SPLIT else rho_local(splitting, t - 1)
+    return rho_local(splitting, t)
+
+
 def _reflex_splitting(T: TMatrix, l: int) -> str:
     """Splitting in the reflex CM field of the chosen prime above l | m."""
     # l | Dtilde - n**2 with l coprime to n forces split or ramified.
@@ -289,18 +296,15 @@ def reflex_local_data(p: int, T: TMatrix) -> tuple[ReflexLocalData, ...]:
         ReflexLocalData(
             l=l,
             splitting_in_Ftilde=RAMIFIED if T.cm.dtilde % l == 0 else SPLIT,
-            splitting_in_Ktilde=_reflex_splitting(T, l),
+            splitting_in_Ktilde=splitting,
             ord_at_chosen_prime=t_l - 1 if l == p else t_l,
         )
-        for l, t_l in factorize(T.quarter_det).factors
+        for l, t_l, splitting in _row(T.quarter_det, partial(_reflex_splitting, T))
     )
 
 
-ReflexRow = tuple[tuple[int, int, str], ...]
-
-
 @lru_cache(maxsize=1)
-def _reflex_table(cm: CmFieldData) -> dict[int, list[tuple[TMatrix, ReflexRow]]]:
+def _reflex_table(cm: CmFieldData) -> dict[int, list[tuple[TMatrix, Row]]]:
     """The field table with (l, t_l, splitting) in place of each (l, t_l,
     symbol): one splitting per (T, l).  Built only for b1; one field is kept."""
     return _by_prime(
@@ -320,26 +324,21 @@ def b1_at_p(cm: CmFieldData, p: int) -> int:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    total = 0
-    for _, row in _reflex_table(cm).get(p, ()):
-        t_p, at_p = next((t, splitting) for l, t, splitting in row if l == p)
-        if at_p == SPLIT:
-            continue
-        prod = t_p + 1
-        for l, t, splitting in row:
-            prod *= rho_local(splitting, t - 1 if l == p else t)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return _coefficient(p, [row for _, row in _reflex_table(cm).get(p, ())], _rho)
 
 
-def verify_main_identity(cm: CmFieldData) -> bool:
-    """b1(p) = 2 * (intersection at p) at every prime p <= Dtilde/(4D).
+def _identity(cm: CmFieldData, terms: Mapping[int, Fraction]) -> tuple[dict[int, int], bool]:
+    """b1 at the candidate primes, and whether b1(p) = 2 * terms[p] at every
+    prime p <= Dtilde/(4D), with `terms` the closed form's coefficients.
 
     Only the candidate primes are evaluated: any other p divides no m, so
     b1(p) and the closed-form coefficient are both empty sums there and
     vanish together.
     """
-    terms = intersection_total(cm).terms
-    return all(b1_at_p(cm, p) == 2 * terms.get(p, 0) for p in candidate_primes(cm))
+    b1 = {p: b1_at_p(cm, p) for p in candidate_primes(cm)}
+    return b1, all(b1[p] == 2 * terms.get(p, 0) for p in b1)
+
+
+def verify_main_identity(cm: CmFieldData) -> bool:
+    """b1(p) = 2 * (intersection at p) at every prime p <= Dtilde/(4D)."""
+    return _identity(cm, intersection_total(cm).terms)[1]

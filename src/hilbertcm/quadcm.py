@@ -47,10 +47,6 @@ class QuadElem:
             raise ValueError(f"(u, v) = ({u}, {v}) must have equal parity")
         return cls(D, (u - v * D) // 2, v)
 
-    @classmethod
-    def from_int(cls, D: int, n: int) -> "QuadElem":
-        return cls(D, n, 0)
-
     @property
     def u(self) -> int:
         return 2 * self.x + self.y * self.D
@@ -135,10 +131,6 @@ class CmFieldData:
     dtilde: int
     u: int
     v: int
-
-    @property
-    def w_pair(self) -> tuple[int, int]:
-        return (self.w.x, self.w.y)
 
     def describe(self) -> str:
         return f"D={self.D}, Dtilde={self.dtilde}, delta={self.delta}, w={self.w}"

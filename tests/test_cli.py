@@ -1,9 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilbertcm import __version__, cli
+from hilbertcm import __version__, intersect
 from hilbertcm.cli import main
+from hilbertcm.quadcm import enumerate_fields
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +104,47 @@ class TestUsageErrors:
         assert __version__ in capsys.readouterr().out
 
 
+# Valid fields inside the scanned domain: few random inputs are valid, and
+# these make exit 0 and its JSON output reachable.
+_VALID_FIELDS = [
+    (cm.D, cm.u, cm.v, (cm.w.x, cm.w.y))
+    for D in (5, 13, 17, 29)
+    for cm in enumerate_fields(D, 3000)
+    if abs(cm.u) <= 400 and abs(cm.v) <= 40
+]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        command=st.sampled_from([["validate"], ["intersect"], ["intersect", "--verify"]]),
+        fmt=st.sampled_from(["text", "json"]),
+        field=st.one_of(
+            st.tuples(
+                st.sampled_from([-5, 0, 1, 4, 5, 9, 13, 17, 29]),
+                st.integers(-400, 400),
+                st.integers(-40, 40),
+                st.tuples(st.integers(-3, 5), st.integers(-3, 5)),
+            ),
+            st.sampled_from(_VALID_FIELDS),
+        ),
+    )
+    def test_field_commands(self, command, fmt, field):
+        D, u, v, w = field
+        argv = [*command, "--D", str(D), "--delta", f"{u},{v}", "--w", f"{w[0]},{w[1]}",
+                "--format", fmt]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 0 and fmt == "json":
+            json.loads(out.getvalue())
+
+
 class TestIntersect:
     def test_text_report(self, capsys):
         code, out, _ = run_cli(
@@ -165,8 +211,8 @@ class TestIntersect:
     def test_verify_checks_primes_outside_support(self, capsys, monkeypatch):
         # Dtilde = 281: the support is {2, 7}, but the candidate prime 5,
         # which divides some m with c_5 = 0, is checked too.
-        real = cli.b1_at_p
-        monkeypatch.setattr(cli, "b1_at_p", lambda cm, p: 1 if p == 5 else real(cm, p))
+        real = intersect.b1_at_p
+        monkeypatch.setattr(intersect, "b1_at_p", lambda cm, p: 1 if p == 5 else real(cm, p))
         code, out, _ = run_cli(
             capsys,
             "intersect", "--D", "5", "--delta", "-73,29", "--w", "0,1",
