@@ -68,9 +68,15 @@ def _delta_pair(text: str) -> tuple[int, int]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part)
+        values = tuple(int(part) for part in text.split(",") if part)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise argparse.ArgumentTypeError(f"repeated value {value} in {text!r}")
+    return values
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:

@@ -20,12 +20,13 @@ reflex CM field via rho-factors, driven by the splitting behaviour of each
 prime.  It shares the T matrices, the factorization of each m and the sum
 with the kernel: `_reflex_table` takes (l, t_l) from the field table's rows
 and adds the splitting of the chosen prime above l from `split_in_Ktilde`,
-once per (T, l), only when b1 is asked for.  The splitting comes from the
-same symbol (-alpha_l, l)_l that the closed form evaluates, so the symbol
-itself is checked independently by the brute-force p-adic Hilbert-symbol
-test; rho meets beta only in the identity b1(p) = 2 * (intersection at p),
-the project's main cross-check.  `_identity` is its one driver, for both
-`verify_main_identity` and the CLI.
+the one classifier of that prime, once per (T, l), only when b1 is asked
+for.  The kernel's rows are the one per-l record of both routes.  The
+splitting comes from the same symbol (-alpha_l, l)_l that the closed form
+evaluates, so the symbol itself is checked independently by the brute-force
+p-adic Hilbert-symbol test; rho meets beta only in the identity
+b1(p) = 2 * (intersection at p), the project's main cross-check.
+`_identity` is its one driver, for both `verify_main_identity` and the CLI.
 """
 
 from __future__ import annotations
@@ -51,27 +52,6 @@ log = logging.getLogger(__name__)
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    """Per-prime data entering the closed-form product."""
-
-    l: int
-    alpha: int
-    t_l: int
-    symbol: int
-    beta: Fraction
-
-
-@dataclass(frozen=True)
-class ReflexLocalData:
-    """Per-prime splitting data entering the b1 product."""
-
-    l: int
-    splitting_in_Ftilde: str  # split | ramified (inert cannot occur for l | det)
-    splitting_in_Ktilde: str  # split | inert | ramified
-    ord_at_chosen_prime: int
 
 
 @dataclass(frozen=True)
@@ -168,33 +148,6 @@ def _symbol(T: TMatrix, l: int) -> int:
     return hilbert_symbol(-alpha_unit(T, l), l, l)
 
 
-def beta_l(p: int, T: TMatrix, l: int) -> Fraction:
-    """The local factor at l of the closed-form product for the prime p.
-    Requires l | (Dtilde - n**2)/(4D)."""
-    return Fraction(_beta(padic_valuation(T.quarter_det, l), _symbol(T, l), l == p))
-
-
-def local_factors(p: int, T: TMatrix) -> tuple[LocalFactor, ...]:
-    """The LocalFactor list over the distinct primes dividing
-    (Dtilde - n**2)/(4D), ascending."""
-    return tuple(
-        LocalFactor(
-            l=l, alpha=alpha_unit(T, l), t_l=t, symbol=sym, beta=Fraction(_beta(t, sym, l == p))
-        )
-        for l, t, sym in _row(T.quarter_det, partial(_symbol, T))
-    )
-
-
-def beta_product(p: int, T: TMatrix) -> Fraction:
-    """Product of beta_l over the primes dividing (Dtilde - n**2)/(4D)."""
-    m = T.quarter_det
-    if m % p:
-        raise ValueError(f"(Dtilde - n**2)/(4D) = {m} is not a positive multiple of {p}")
-    # The kernel's sum over this one row is (t_p + 1) * product.
-    total = _coefficient(p, [_row(m, partial(_symbol, T))], _beta)
-    return Fraction(total, padic_valuation(m, p) + 1)
-
-
 @lru_cache(maxsize=1)
 def _field_table(cm: CmFieldData) -> dict[int, list[tuple[TMatrix, Row]]]:
     """Each prime p mapped to the (T, row) pairs with p | m, by (n, -mu).  One
@@ -221,36 +174,22 @@ def intersection_total(cm: CmFieldData) -> IntersectionResult:
     return formal_sum(candidate_primes(cm), at_p, cm.dtilde // (4 * cm.D), cm.describe())
 
 
-def split_in_Ktilde(
-    T: TMatrix, l: int, chosen_prime_is_relative_discriminant: bool = False
-) -> str:
-    """Splitting of the chosen prime above l in the reflex CM field.
-
-    The flag marks the corner where the chosen prime itself divides the
-    relative discriminant (norm D); then it is ramified.  Otherwise the
-    prime is split exactly when (-alpha_l, l)_l = 1, with alpha_l = a in the
-    special case l = D.
-    """
-    if chosen_prime_is_relative_discriminant:
-        return RAMIFIED
+def split_in_Ktilde(T: TMatrix, l: int) -> str:
+    """Splitting in the reflex CM field of the chosen prime above l | m: split
+    exactly when (-alpha_l, l)_l = 1, with alpha_l = a in the special case
+    l = D."""
+    alpha = alpha_unit(T, l)
+    # l | Dtilde - n**2 with l coprime to n forces split or ramified.
+    if kronecker_symbol(T.cm.dtilde, l) == -1:
+        raise ValueError(f"{l} divides (Dtilde - n**2)/(4D) but is inert in Q(sqrt(Dtilde))")
     D = T.cm.D
-    if T.quarter_det % l == 0:
-        alpha = alpha_unit(T, l)
-        if l == D:
-            # The chosen prime sits over l = D but is not the ramified one;
-            # here D never divides n and the unit entry is a.
-            log.debug(
-                "relative-discriminant place hit: l = D = %d at n = %d", D, T.n
-            )
-            if T.n % D == 0 or T.a % D == 0:
-                raise ValueError(f"l = D = {D} divides n = {T.n} or the entry a = {T.a}")
-            alpha = T.a
-    elif l == D:
-        if T.a % D == 0:
-            raise ValueError("a is not a unit at D; cannot classify")
+    if l == D:
+        # The chosen prime sits over l = D but is not the ramified one;
+        # here D never divides n and the unit entry is a.
+        log.debug("relative-discriminant place hit: l = D = %d at n = %d", D, T.n)
+        if T.n % D == 0 or T.a % D == 0:
+            raise ValueError(f"l = D = {D} divides n = {T.n} or the entry a = {T.a}")
         alpha = T.a
-    else:
-        raise ValueError(f"{l} must divide (Dtilde - n**2)/(4D) or equal D")
     return SPLIT if hilbert_symbol(-alpha, l, l) == 1 else INERT
 
 
@@ -278,37 +217,12 @@ def _rho(t: int, splitting: str, at_p: bool) -> int:
     return rho_local(splitting, t)
 
 
-def _reflex_splitting(T: TMatrix, l: int) -> str:
-    """Splitting in the reflex CM field of the chosen prime above l | m."""
-    # l | Dtilde - n**2 with l coprime to n forces split or ramified.
-    if kronecker_symbol(T.cm.dtilde, l) == -1:
-        raise ValueError(f"{l} divides (Dtilde - n**2)/(4D) but is inert in Q(sqrt(Dtilde))")
-    return split_in_Ktilde(T, l)
-
-
-def reflex_local_data(p: int, T: TMatrix) -> tuple[ReflexLocalData, ...]:
-    """Splitting data for every prime l dividing (Dtilde - n**2)/(4D).
-
-    The chosen prime above l carries valuation t_l for l != p and t_p - 1
-    for l = p (the partner prime is chosen to carry none).
-    """
-    return tuple(
-        ReflexLocalData(
-            l=l,
-            splitting_in_Ftilde=RAMIFIED if T.cm.dtilde % l == 0 else SPLIT,
-            splitting_in_Ktilde=splitting,
-            ord_at_chosen_prime=t_l - 1 if l == p else t_l,
-        )
-        for l, t_l, splitting in _row(T.quarter_det, partial(_reflex_splitting, T))
-    )
-
-
 @lru_cache(maxsize=1)
 def _reflex_table(cm: CmFieldData) -> dict[int, list[tuple[TMatrix, Row]]]:
     """The field table with (l, t_l, splitting) in place of each (l, t_l,
     symbol): one splitting per (T, l).  Built only for b1; one field is kept."""
     return _by_prime(
-        (T, tuple((l, t, _reflex_splitting(T, l)) for l, t, _ in row))
+        (T, tuple((l, t, split_in_Ktilde(T, l)) for l, t, _ in row))
         for p, entries in _field_table(cm).items()
         for T, row in entries
         if row[0][0] == p  # each entry once, under its least prime

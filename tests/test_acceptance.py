@@ -12,22 +12,21 @@ from itertools import combinations
 import pytest
 from mpmath import mp
 
+from hilbertcm import intersect
 from hilbertcm.exactnum import (
     hilbert_symbol,
-    prime_factors,
     primes_up_to,
     relevant_places,
 )
 from hilbertcm.grosskeating import GkData, gk_density, gk_index, is_isotropic
 from hilbertcm.gzmoduli import GzParams, gz_discrepancy, gz_total
 from hilbertcm.intersect import (
+    alpha_unit,
     b1_at_p,
     intersection_at_p,
     intersection_total,
-    local_factors,
 )
 from hilbertcm.quadcm import enumerate_fields, validate_cm_field
-from hilbertcm.tmatrix import all_tmatrices
 from oracles import hilbert_symbol_oracle
 
 SWEEP_D = (5, 13, 17, 29)
@@ -126,16 +125,16 @@ def test_criterion_7_density_cross_check(sweep_fields):
     checked = 0
     for fields in sweep_fields.values():
         for cm in fields:
-            for T in all_tmatrices(cm):
-                for p in prime_factors(T.quarter_det):
-                    for f in local_factors(p, T):
-                        if f.l == p:
-                            continue
-                        if is_isotropic(f.alpha, f.t_l, f.l):
-                            gated = gk_density(GkData(0, 0, f.t_l), f.symbol, f.l)
+            for p, entries in intersect._field_table(cm).items():
+                for T, row in entries:
+                    if row[0][0] != p:
+                        continue  # each entry once, under its least prime
+                    for l, t, symbol in row:
+                        if is_isotropic(alpha_unit(T, l), t, l):
+                            gated = gk_density(GkData(0, 0, t), symbol, l)
                         else:
                             gated = 0
-                        assert f.beta == gated
+                        assert intersect._beta(t, symbol, False) == gated
                         checked += 1
     synthetic = 0
     for l in (2, 3, 5, 7, 11):

@@ -292,11 +292,24 @@ class TestEnumerate:
             assert entry["verified"] is True
 
     def test_empty_d_list(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "enumerate-fields", "--D", "", "--bound", "50"
-        )
-        assert code == 0
-        assert "summary: 0 fields" in out
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate-fields", "--D", "", "--bound", "50"])
+        assert info.value.code == 2
+        assert "--D: expected at least one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "d_list, message",
+        [
+            (",", "expected at least one value"),
+            ("5,5", "repeated value 5"),
+        ],
+    )
+    def test_d_list_usage_error(self, capsys, d_list, message):
+        # Each field is listed once: a repeated D would list its fields twice.
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate-fields", "--D", d_list, "--bound", "60"])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_jobs_deterministic(self, capsys):
         _, seq, _ = run_cli(

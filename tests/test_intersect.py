@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from oracles import b1_at_p_oracle, intersection_at_p_oracle
@@ -8,7 +9,6 @@ from hilbertcm.exactnum import (
     hilbert_symbol,
     kronecker_symbol,
     padic_valuation,
-    prime_factors,
     primes_up_to,
 )
 from hilbertcm.grosskeating import GkData, gk_density, gk_index, is_isotropic
@@ -18,19 +18,30 @@ from hilbertcm.intersect import (
     SPLIT,
     alpha_unit,
     b1_at_p,
-    beta_l,
-    beta_product,
     candidate_primes,
     intersection_at_p,
     intersection_total,
-    local_factors,
-    reflex_local_data,
     rho_local,
     split_in_Ktilde,
     verify_main_identity,
 )
 from hilbertcm.quadcm import enumerate_fields
 from hilbertcm.tmatrix import TMatrix, all_tmatrices, build_tmatrix
+
+
+def closed_row(T):
+    """The kernel's row (l, t_l, symbol_l) of T, as `_field_table` builds it."""
+    return intersect._row(T.quarter_det, partial(intersect._symbol, T))
+
+
+def field_rows(cm):
+    """Each (T, row) of the kernel's field table once, under its least prime."""
+    return [
+        (T, row)
+        for p, entries in intersect._field_table(cm).items()
+        for T, row in entries
+        if row[0][0] == p
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +83,13 @@ class TestBetaL:
         assert T41.quarter_det == 2
         assert padic_valuation(2, 2) == 1
         assert hilbert_symbol(-3, 2, 2) == -1
-        assert beta_l(2, T41, 2) == 1
+        assert closed_row(T41) == ((2, 1, -1),)
+        assert intersect._beta(1, -1, True) == 1
 
     def test_example_61(self, T61):
-        assert beta_l(3, T61, 3) == 1
+        ((l, t, symbol),) = closed_row(T61)
+        assert l == 3
+        assert intersect._beta(t, symbol, True) == 1
 
     def test_away_from_p_negative_symbol_odd_t(self, field109):
         # Dtilde = 109, n = 3 gives quarter_det 5 with symbol -1 at 5;
@@ -83,22 +97,22 @@ class TestBetaL:
         T = build_tmatrix(field109, 3, -1)
         assert T.quarter_det == 5
         assert hilbert_symbol(-alpha_unit(T, 5), 5, 5) == -1
-        assert beta_l(3, T, 5) == 0  # l = 5 != p = 3, odd valuation
-
-    def test_precondition(self, T41):
-        with pytest.raises(ValueError):
-            beta_l(2, T41, 7)
+        assert closed_row(T) == ((5, 1, -1),)
+        assert intersect._beta(1, -1, False) == 0  # l = 5 != p, odd valuation
 
 
 class TestBetaProduct:
+    """The kernel's sum over one row is (t_p + 1) times the product of the
+    local factors."""
+
     def test_single_factor(self, T41, T61):
-        assert beta_product(2, T41) == 1
-        assert beta_product(3, T61) == 1
+        assert intersect._coefficient(2, [closed_row(T41)], intersect._beta) == 2
+        assert intersect._coefficient(3, [closed_row(T61)], intersect._beta) == 2
 
     def test_at_p_factor(self, field109):
         T = build_tmatrix(field109, 3, -1)
         # p = 5 is the only prime of quarter_det; at p itself beta = 1
-        assert beta_product(5, T) == 1
+        assert intersect._coefficient(5, [closed_row(T)], intersect._beta) == 2
 
     def test_absorbing_zero(self):
         # find a sweep matrix whose product vanishes through an inert prime
@@ -106,17 +120,15 @@ class TestBetaProduct:
         hit = False
         for cm in enumerate_fields(5, 900):
             for T in all_tmatrices(cm):
-                for p in prime_factors(T.quarter_det):
+                row = closed_row(T)
+                for p, _, _ in row:
                     if any(
-                        f.l != p and f.beta == 0 for f in local_factors(p, T)
+                        l != p and intersect._beta(t, symbol, False) == 0
+                        for l, t, symbol in row
                     ):
-                        assert beta_product(p, T) == 0
+                        assert intersect._coefficient(p, [row], intersect._beta) == 0
                         hit = True
         assert hit
-
-    def test_precondition(self, T41):
-        with pytest.raises(ValueError):
-            beta_product(3, T41)
 
 
 class TestIntersection:
@@ -207,9 +219,6 @@ class TestSplitInKtilde:
     def test_inert_at_three(self, T61):
         assert split_in_Ktilde(T61, 3) == INERT
 
-    def test_ramified_flag(self, T41):
-        assert split_in_Ktilde(T41, 2, chosen_prime_is_relative_discriminant=True) == RAMIFIED
-
     def test_very_special_case_uses_a(self, field109):
         # p = D = 5 divides quarter_det for n = 3; the unit entry must be a.
         T = build_tmatrix(field109, 3, -1)
@@ -251,26 +260,29 @@ class TestRhoLocal:
 
 class TestReflexLocalData:
     def test_field41(self, T41):
-        (entry,) = reflex_local_data(2, T41)
-        assert entry.l == 2
-        assert entry.splitting_in_Ftilde == SPLIT  # 41 = 1 mod 8
-        assert entry.splitting_in_Ktilde == INERT
-        assert entry.ord_at_chosen_prime == 0  # t_2 - 1
+        ((l, t, _),) = closed_row(T41)
+        assert l == 2
+        assert kronecker_symbol(41, 2) == 1  # 41 = 1 mod 8
+        assert split_in_Ktilde(T41, 2) == INERT
+        # the chosen prime above p = 2 carries t_2 - 1 = 0
+        assert intersect._rho(t, INERT, True) == rho_local(INERT, 0) == 1
 
     def test_ord_for_other_primes(self, field109):
         T = build_tmatrix(field109, 7, 1)  # quarter_det 3
-        (entry,) = reflex_local_data(3, T)
-        assert entry.ord_at_chosen_prime == padic_valuation(T.quarter_det, 3) - 1
+        ((l, t, _),) = closed_row(T)
+        assert (l, t) == (3, 1)
+        assert split_in_Ktilde(T, 3) == INERT
+        assert intersect._rho(t, INERT, True) == rho_local(INERT, t - 1) == 1
+        assert intersect._rho(t, INERT, False) == rho_local(INERT, t) == 0
 
     def test_ftilde_consistency_sweep(self):
         for cm in enumerate_fields(17, 800):
-            for T in all_tmatrices(cm):
-                for l in prime_factors(T.quarter_det):
-                    assert kronecker_symbol(cm.dtilde, l) != -1
-                    data = reflex_local_data(l, T)
-                    entry = next(d for d in data if d.l == l)
-                    expected = RAMIFIED if cm.dtilde % l == 0 else SPLIT
-                    assert entry.splitting_in_Ftilde == expected
+            for entries in intersect._reflex_table(cm).values():
+                for T, row in entries:
+                    for l, _, splitting in row:
+                        assert kronecker_symbol(cm.dtilde, l) != -1
+                        assert splitting in (SPLIT, INERT)
+                        assert splitting == split_in_Ktilde(T, l)
 
 
 class TestB1:
@@ -310,38 +322,45 @@ class TestClosedFormVsDensity:
         # Away from p the closed form must equal the isotropy-gated density
         # evaluation on invariants (0, 0, t_l).
         for cm in enumerate_fields(5, 600):
-            for T in all_tmatrices(cm):
-                for p in prime_factors(T.quarter_det):
-                    for f in local_factors(p, T):
-                        if f.l == p:
-                            continue
-                        if is_isotropic(f.alpha, f.t_l, f.l):
-                            expected = gk_density(
-                                GkData(0, 0, f.t_l), f.symbol, f.l
-                            )
-                        else:
-                            expected = 0
-                        assert f.beta == expected
+            for T, row in field_rows(cm):
+                for l, t, symbol in row:
+                    if is_isotropic(alpha_unit(T, l), t, l):
+                        expected = gk_density(GkData(0, 0, t), symbol, l)
+                    else:
+                        expected = 0
+                    assert intersect._beta(t, symbol, False) == expected
 
     def test_per_term_index_is_half_t_plus_one(self):
         for cm in enumerate_fields(5, 600):
-            for T in all_tmatrices(cm):
-                for p in prime_factors(T.quarter_det):
-                    t_p = padic_valuation(T.quarter_det, p)
-                    assert gk_index(GkData(0, 0, t_p), p) == Fraction(t_p + 1, 2)
+            for _, row in field_rows(cm):
+                for l, t, _ in row:
+                    assert gk_index(GkData(0, 0, t), l) == Fraction(t + 1, 2)
 
 
 class TestLocalFactorInvariants:
     def test_fields(self, field41, field61, field109):
         for cm in (field41, field61, field109):
             for T in all_tmatrices(cm):
-                for p in prime_factors(T.quarter_det):
-                    for f in local_factors(p, T):
-                        assert T.quarter_det % f.l == 0
-                        assert f.alpha % f.l != 0
-                        assert f.t_l == padic_valuation(T.quarter_det, f.l)
-                        assert f.symbol in (-1, 1)
-                        assert f.beta >= 0
+                for l, t, symbol in closed_row(T):
+                    assert T.quarter_det % l == 0
+                    assert alpha_unit(T, l) % l != 0
+                    assert t == padic_valuation(T.quarter_det, l)
+                    assert symbol in (-1, 1)
+                    assert intersect._beta(t, symbol, True) >= 0
+                    assert intersect._beta(t, symbol, False) >= 0
+
+    def test_symbol_is_a_kronecker_symbol(self):
+        # (-alpha, l)_l for a unit alpha at l equals the Kronecker symbol
+        # (-alpha / l), l = 2 included.
+        checked = 0
+        for D in (5, 13, 17, 29):
+            for cm in enumerate_fields(D, 8000):
+                for T, row in field_rows(cm):
+                    for l, _, symbol in row:
+                        expected = kronecker_symbol(-alpha_unit(T, l), l)
+                        assert symbol == expected, (cm.describe(), T.n, l)
+                        checked += 1
+        assert checked
 
 
 class TestFormalSumInvariants:
@@ -384,7 +403,7 @@ class TestReflexChecks:
         # (41 | 3) = -1, yet 3 divides det/4 = 3.
         T = TMatrix(field41, 1, 1, 3, 0, 4)
         with pytest.raises(ValueError, match="inert"):
-            reflex_local_data(3, T)
+            split_in_Ktilde(T, 3)
 
     def test_reflex_place_with_d_dividing_a(self, field41):
         # l = D = 5 divides det/4 = 5 and the entry a = 5.
