@@ -10,7 +10,10 @@ running over positive n with (Dtilde - n**2)/4 a positive multiple of p.
 
 An independent oracle evaluates sum 4/(w1*w2) * log|j(tau1) - j(tau2)| over
 Heegner points by the q-expansion j = E4**3/Delta at arbitrary precision;
-exp of the formula's output must match it.
+exp of the formula's output must match it.  Delta = q * prod (1 - q**n)**24
+takes the product from Euler's pentagonal-number series and its 24th power
+by multiplication; j is evaluated once per conjugate pair of forms, and each
+j(tau1) takes one log of prod_j2 |j(tau1) - j2|.
 """
 
 from __future__ import annotations
@@ -153,7 +156,10 @@ def _series_length(q_abs: mpmath.mpf, tol: mpmath.mpf) -> int:
     For |q| <= 0.07 and n >= 8 the ratio of consecutive majorant terms
     240*n**4*|q|**n is below ((9/8)**4)*0.07 < 0.12, so the E4 tail after N
     is at most 240*(N+1)**4*|q|**(N+1)/(1-0.12) < 480*(N+1)**4*|q|**(N+1).
-    The eta-product tail 24*sum_{n>N}|q|**n/(1-|q|) is smaller still.
+    Euler's pentagonal series sum_k (-1)**k q**(k(3k-1)/2) for prod (1 - q**n)
+    has coefficients in {-1, 0, 1}, so the terms it drops past exponent N sum
+    to at most |q|**(N+1)/(1-|q|); after the 24th power that is
+    24*|q|**(N+1)/(1-|q|) to first order, smaller still.
     """
     if q_abs > mp.mpf("0.07"):
         raise ValueError("truncation bound requires |q| <= 0.07")
@@ -174,7 +180,11 @@ def _sigma3_table(n: int) -> list[int]:
 
 def j_invariant(form: HeegnerForm) -> mpmath.mpc:
     """j at tau = (-B + sqrt(d))/(2A) via E4**3/Delta, at the ambient mp
-    precision (callers set mp.workdps with guard digits)."""
+    precision (callers set mp.workdps with guard digits).
+
+    Delta = q * eta**24 with eta = prod (1 - q**n) summed by Euler's
+    pentagonal series up to exponent N; eta**24 is eta**3 squared three times.
+    """
     d = form.discriminant
     tau = (-form.B + mp.sqrt(mp.mpc(d))) / (2 * form.A)
     q = mp.exp(2j * mp.pi * tau)
@@ -185,10 +195,28 @@ def j_invariant(form: HeegnerForm) -> mpmath.mpc:
     for _ in range(n_terms):
         qpow.append(qpow[-1] * q)
     e4 = 1 + 240 * mp.fsum(sigma3[n] * qpow[n] for n in range(1, n_terms + 1))
-    disc = q
-    for n in range(1, n_terms + 1):
-        disc *= (1 - qpow[n]) ** 24
-    return e4**3 / disc
+    eta = qpow[0]
+    for k in range(1, n_terms + 1):
+        low = k * (3 * k - 1) // 2  # the pair of exponents is low, low + k
+        if low > n_terms:
+            break
+        for e in (low, low + k):
+            if e <= n_terms:
+                eta += -qpow[e] if k % 2 else qpow[e]
+    eta24 = eta * eta * eta
+    for _ in range(3):
+        eta24 *= eta24
+    return e4**3 / (q * eta24)
+
+
+def _singular_moduli(d: int) -> list[mpmath.mpc]:
+    """j at every reduced form of d, in order, evaluated once per conjugate
+    pair: (A, -B, C) takes the conjugate of j at its partner (A, B, C), which
+    reduced_forms lists just before it (a KeyError if it did not)."""
+    js: dict[HeegnerForm, mpmath.mpc] = {}
+    for f in reduced_forms(d):
+        js[f] = j_invariant(f) if f.B >= 0 else mp.conj(js[HeegnerForm(f.A, -f.B, f.C)])
+    return list(js.values())
 
 
 def singular_moduli_log(params: GzParams, precision: int = 100) -> mpmath.mpf:
@@ -197,12 +225,10 @@ def singular_moduli_log(params: GzParams, precision: int = 100) -> mpmath.mpf:
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
     with mp.workdps(precision + 20):
-        js1 = [j_invariant(f) for f in reduced_forms(params.d1)]
-        js2 = [j_invariant(f) for f in reduced_forms(params.d2)]
+        js2 = _singular_moduli(params.d2)
         total = mp.mpf(0)
-        for j1 in js1:
-            for j2 in js2:
-                total += mp.log(abs(j1 - j2))
+        for j1 in _singular_moduli(params.d1):
+            total += mp.log(abs(mp.fprod(j1 - j2 for j2 in js2)))
         weight = mp.mpf(4) / (_unit_count(params.d1) * _unit_count(params.d2))
         return weight * total
 

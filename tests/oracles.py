@@ -11,6 +11,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+import mpmath
+from mpmath import mp
+
 from hilbertcm.exactnum import kronecker_symbol
 from hilbertcm.quadcm import CmFieldData, QuadElem
 
@@ -149,9 +152,10 @@ def class_number_dirichlet(d: int) -> int:
     return num // (2 * -d)
 
 
-def class_number_scan(d: int) -> int:
-    """Count reduced primitive forms by a dumb triple scan over A, B."""
-    count = 0
+def reduced_forms_scan(d: int) -> list[tuple[int, int, int]]:
+    """Reduced primitive forms (A, B, C) of discriminant d by a dumb scan
+    over A, B."""
+    forms = []
     for A in range(1, isqrt(-d // 3) + 1):
         for B in range(-A, A + 1):
             if (B * B - d) % (4 * A):
@@ -163,8 +167,40 @@ def class_number_scan(d: int) -> int:
                 continue
             if gcd(gcd(A, abs(B)), C) != 1:
                 continue
-            count += 1
-    return count
+            forms.append((A, B, C))
+    return forms
+
+
+def class_number_scan(d: int) -> int:
+    return len(reduced_forms_scan(d))
+
+
+def _j_direct(A: int, B: int, d: int) -> mpmath.mpc:
+    """j = E4**3 / (q * prod (1 - q**n)**24) at tau = (-B + sqrt(d))/(2A),
+    each factor raised to the 24th power by mpmath, with divisor sums taken
+    directly, until 480*n**4*|q|**n drops below the working tolerance."""
+    q = mp.exp(2j * mp.pi * (-B + mp.sqrt(mp.mpc(d))) / (2 * A))
+    tol = mp.mpf(10) ** -(mp.dps - 5)
+    e4, eta24, qn, n = mp.mpc(1), mp.mpc(1), mp.mpc(1), 0
+    while True:
+        n += 1
+        qn *= q
+        if n > 8 and 480 * n**4 * abs(qn) < tol:
+            return e4**3 / (q * eta24)
+        e4 += 240 * sum(k**3 for k in range(1, n + 1) if n % k == 0) * qn
+        eta24 *= (1 - qn) ** 24
+
+
+def singular_moduli_log_oracle(d1: int, d2: int, precision: int) -> mpmath.mpf:
+    """4/(w1*w2) * sum log|j(tau1) - j(tau2)| over every pair of classes:
+    j evaluated at every reduced form and one log per pair, at `precision`
+    digits plus 20 guard digits."""
+    units = {-3: 6, -4: 4}
+    with mp.workdps(precision + 20):
+        js1 = [_j_direct(A, B, d1) for A, B, _ in reduced_forms_scan(d1)]
+        js2 = [_j_direct(A, B, d2) for A, B, _ in reduced_forms_scan(d2)]
+        total = mp.fsum(mp.log(abs(j1 - j2)) for j1 in js1 for j2 in js2)
+        return 4 * total / (units.get(d1, 2) * units.get(d2, 2))
 
 
 def enumerate_fields_oracle(D: int, dtilde_bound: int) -> list[tuple[int, int, int, int, int]]:

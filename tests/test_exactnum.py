@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertcm.exactnum import (
@@ -160,10 +160,19 @@ class TestKronecker:
                 assert kronecker_symbol(a, p) == legendre_euler(a, p), (a, p)
 
     @given(st.integers(-40, 40), st.integers(-40, 40), nonzero_ints)
+    @example(-5, 0, -1)
     def test_multiplicative_in_top(self, a1, a2, n):
-        assert kronecker_symbol(a1 * a2, n) == kronecker_symbol(
-            a1, n
-        ) * kronecker_symbol(a2, n)
+        # (0|-1) = 1 by definition while (a|-1) = sign(a) otherwise, so the
+        # identity fails at n = -1 when exactly one factor is 0 and the other
+        # negative; it holds whenever n > 0 or a1*a2 != 0.
+        lhs = kronecker_symbol(a1 * a2, n)
+        rhs = kronecker_symbol(a1, n) * kronecker_symbol(a2, n)
+        if n > 0 or a1 * a2 != 0:
+            assert lhs == rhs
+        elif n == -1:
+            assert lhs == 1 and rhs == (-1 if min(a1, a2) < 0 else 1)
+        else:
+            assert lhs == rhs == 0
 
     @given(st.integers(-40, 40), nonzero_ints, nonzero_ints)
     def test_multiplicative_in_bottom(self, a, n1, n2):

@@ -20,9 +20,15 @@ from hilbertcm.gzmoduli import (
     reduced_forms,
     singular_moduli_log,
 )
-from oracles import class_number_dirichlet, class_number_scan, is_fundamental
+from oracles import (
+    class_number_dirichlet,
+    class_number_scan,
+    is_fundamental,
+    singular_moduli_log_oracle,
+)
 
 FUNDAMENTALS = (-3, -7, -11, -19, -43, -67)
+ORACLE_PAIRS = ((-3, -7), (-7, -43), (-11, -19), (-23, -31), (-47, -71), (-199, -479))
 
 
 class TestGzParams:
@@ -210,3 +216,39 @@ class TestOracleMatch:
         result = gz_total(GzParams(-3, -7))
         with mp.workdps(60):
             assert abs(formal_sum_log(result, 40) - mp.log(15)) < mp.mpf(10) ** -30
+
+
+class TestSingularModuliRoute:
+    """The oracle's fast route (pentagonal series, one j per conjugate pair,
+    one log per class) against the direct route of tests/oracles.py."""
+
+    @pytest.mark.parametrize("precision", [60, 200])
+    @pytest.mark.parametrize("d1, d2", ORACLE_PAIRS)
+    def test_matches_direct_route(self, d1, d2, precision):
+        fast = singular_moduli_log(GzParams(d1, d2), precision)
+        direct = singular_moduli_log_oracle(d1, d2, precision)
+        with mp.workdps(precision + 20):
+            assert abs(fast - direct) < mp.mpf(10) ** -precision
+
+    @pytest.mark.parametrize("d1, d2", ORACLE_PAIRS)
+    def test_discrepancy_at_full_precision(self, d1, d2):
+        # The CLI's 1e-6 tolerance would not notice an oracle that lost digits.
+        assert gz_discrepancy(GzParams(d1, d2), 200) < mp.mpf(10) ** -200
+
+    @pytest.mark.parametrize("d", [-47, -71, -479])
+    def test_conjugate_forms(self, d):
+        with mp.workdps(80):
+            negative = [f for f in reduced_forms(d) if f.B < 0]
+            assert negative
+            for f in negative:
+                direct = j_invariant(f)
+                partner = j_invariant(HeegnerForm(f.A, -f.B, f.C))
+                assert abs(direct - mp.conj(partner)) < abs(direct) * mp.mpf(10) ** -(mp.dps - 10)
+
+    def test_one_evaluation_per_conjugate_pair(self, monkeypatch):
+        evaluated = []
+        j = gzmoduli.j_invariant
+        monkeypatch.setattr(gzmoduli, "j_invariant", lambda f: evaluated.append(f) or j(f))
+        singular_moduli_log(GzParams(-47, -71), 40)
+        expected = [f for d in (-71, -47) for f in reduced_forms(d) if f.B >= 0]
+        assert evaluated == expected
