@@ -9,11 +9,11 @@ running over positive n with (Dtilde - n**2)/4 a positive multiple of p.
 `gz_total` and its per-prime calls share one build.
 
 An independent oracle evaluates sum 4/(w1*w2) * log|j(tau1) - j(tau2)| over
-Heegner points by the q-expansion j = E4**3/Delta at arbitrary precision;
-exp of the formula's output must match it.  Delta = q * prod (1 - q**n)**24
-takes the product from Euler's pentagonal-number series and its 24th power
-by multiplication; j is evaluated once per conjugate pair of forms, and each
-j(tau1) takes one log of prod_j2 |j(tau1) - j2|.
+Heegner points at arbitrary precision; exp of the formula's output must match
+it.  j is 1728 * mpmath's kleinj (Jacobi theta constants, no stated error
+bound; reduced forms have Im tau >= sqrt(3)/2, so |q| <= e**(-pi*sqrt(3))),
+checked in the tests against an independent q-expansion.  j is evaluated once
+per conjugate pair, and each j(tau1) takes one log of prod_j2 |j(tau1) - j2|.
 """
 
 from __future__ import annotations
@@ -150,63 +150,16 @@ def _unit_count(d: int) -> int:
     return 2
 
 
-def _series_length(q_abs: mpmath.mpf, tol: mpmath.mpf) -> int:
-    """Truncation length N with both q-series tails rigorously below tol.
-
-    For |q| <= 0.07 and n >= 8 the ratio of consecutive majorant terms
-    240*n**4*|q|**n is below ((9/8)**4)*0.07 < 0.12, so the E4 tail after N
-    is at most 240*(N+1)**4*|q|**(N+1)/(1-0.12) < 480*(N+1)**4*|q|**(N+1).
-    Euler's pentagonal series sum_k (-1)**k q**(k(3k-1)/2) for prod (1 - q**n)
-    has coefficients in {-1, 0, 1}, so the terms it drops past exponent N sum
-    to at most |q|**(N+1)/(1-|q|); after the 24th power that is
-    24*|q|**(N+1)/(1-|q|) to first order, smaller still.
-    """
-    if q_abs > mp.mpf("0.07"):
-        raise ValueError("truncation bound requires |q| <= 0.07")
-    n = 8
-    while 480 * mp.mpf(n + 1) ** 4 * q_abs ** (n + 1) > tol:
-        n += 1
-    return n
-
-
-def _sigma3_table(n: int) -> list[int]:
-    table = [0] * (n + 1)
-    for d in range(1, n + 1):
-        cube = d * d * d
-        for k in range(d, n + 1, d):
-            table[k] += cube
-    return table
-
-
 def j_invariant(form: HeegnerForm) -> mpmath.mpc:
-    """j at tau = (-B + sqrt(d))/(2A) via E4**3/Delta, at the ambient mp
+    """1728 * mpmath's kleinj at tau = (-B + sqrt(d))/(2A), at the ambient mp
     precision (callers set mp.workdps with guard digits).
 
-    Delta = q * eta**24 with eta = prod (1 - q**n) summed by Euler's
-    pentagonal series up to exponent N; eta**24 is eta**3 squared three times.
+    Reduced forms have Im tau >= sqrt(3)/2, so |q| <= e**(-pi*sqrt(3)).
+    mpmath sums the theta series to the working precision plus guard bits but
+    states no error bound; the tests check j against a q-expansion.
     """
-    d = form.discriminant
-    tau = (-form.B + mp.sqrt(mp.mpc(d))) / (2 * form.A)
-    q = mp.exp(2j * mp.pi * tau)
-    tol = mp.mpf(10) ** (-(mp.dps - 5))
-    n_terms = _series_length(abs(q), tol)
-    sigma3 = _sigma3_table(n_terms)
-    qpow = [mp.mpc(1)]
-    for _ in range(n_terms):
-        qpow.append(qpow[-1] * q)
-    e4 = 1 + 240 * mp.fsum(sigma3[n] * qpow[n] for n in range(1, n_terms + 1))
-    eta = qpow[0]
-    for k in range(1, n_terms + 1):
-        low = k * (3 * k - 1) // 2  # the pair of exponents is low, low + k
-        if low > n_terms:
-            break
-        for e in (low, low + k):
-            if e <= n_terms:
-                eta += -qpow[e] if k % 2 else qpow[e]
-    eta24 = eta * eta * eta
-    for _ in range(3):
-        eta24 *= eta24
-    return e4**3 / (q * eta24)
+    tau = (-form.B + mp.sqrt(mp.mpc(form.discriminant))) / (2 * form.A)
+    return 1728 * mp.kleinj(tau)
 
 
 def _singular_moduli(d: int) -> list[mpmath.mpc]:

@@ -21,6 +21,7 @@ from hilbertcm.gzmoduli import (
     singular_moduli_log,
 )
 from oracles import (
+    _j_direct,
     class_number_dirichlet,
     class_number_scan,
     is_fundamental,
@@ -29,6 +30,8 @@ from oracles import (
 
 FUNDAMENTALS = (-3, -7, -11, -19, -43, -67)
 ORACLE_PAIRS = ((-3, -7), (-7, -43), (-11, -19), (-23, -31), (-47, -71), (-199, -479))
+# Pairs at the gz benchmark's scale, too slow for the direct route.
+LARGE_PAIRS = ((-1019, -1031), (-2087, -2351))
 
 
 class TestGzParams:
@@ -219,8 +222,25 @@ class TestOracleMatch:
 
 
 class TestSingularModuliRoute:
-    """The oracle's fast route (pentagonal series, one j per conjugate pair,
-    one log per class) against the direct route of tests/oracles.py."""
+    """The oracle's route (mpmath's kleinj, one j per conjugate pair, one log
+    per class) against the direct E4**3/Delta route of tests/oracles.py, the
+    only q-expansion in the repository."""
+
+    @pytest.mark.parametrize("d", [-163, -1655, -2087, -2351])
+    def test_j_matches_direct_route(self, d):
+        with mp.workdps(220):
+            tol = mp.mpf(10) ** -(mp.dps - 10)
+            for f in reduced_forms(d):
+                if f.B >= 0:
+                    direct = _j_direct(f.A, f.B, d)
+                    assert abs(j_invariant(f) - direct) < abs(direct) * tol
+
+    def test_j_minus_163(self):
+        # tau = (-1 + sqrt(-163))/2 differs from (1 + sqrt(-163))/2 by 1.
+        with mp.workdps(220):
+            exact = -(640320**3)
+            error = abs(j_invariant(HeegnerForm(1, 1, 41)) - exact)
+            assert error < abs(exact) * mp.mpf(10) ** -(mp.dps - 10)
 
     @pytest.mark.parametrize("precision", [60, 200])
     @pytest.mark.parametrize("d1, d2", ORACLE_PAIRS)
@@ -230,7 +250,7 @@ class TestSingularModuliRoute:
         with mp.workdps(precision + 20):
             assert abs(fast - direct) < mp.mpf(10) ** -precision
 
-    @pytest.mark.parametrize("d1, d2", ORACLE_PAIRS)
+    @pytest.mark.parametrize("d1, d2", ORACLE_PAIRS + LARGE_PAIRS)
     def test_discrepancy_at_full_precision(self, d1, d2):
         # The CLI's 1e-6 tolerance would not notice an oracle that lost digits.
         assert gz_discrepancy(GzParams(d1, d2), 200) < mp.mpf(10) ** -200
