@@ -196,6 +196,40 @@ def _legendre_unit(u: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """The square root r of a modulo an odd prime p with 0 <= r <= p/2, by
+    Tonelli-Shanks; the other root is p - r.  Raises ValueError when a is not
+    a square mod p, and when p is even or shows itself composite."""
+    if p < 3 or p % 2 == 0:
+        raise ValueError(f"sqrt_mod needs an odd prime, got {p}")
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square modulo {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = next((z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1), None)
+    if z is None:
+        raise ValueError(f"{p} is not prime")
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # The least i with t**(2**i) = 1; t has order dividing 2**(s-1).
+        i, t2 = 0, t
+        while t2 != 1 and i < s:
+            t2 = t2 * t2 % p
+            i += 1
+        if i == s:
+            raise ValueError(f"{p} is not prime")
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    if r * r % p != a:
+        raise ValueError(f"{p} is not prime")
+    return min(r, p - r)
+
+
 def _as_square_free_int(r: Fraction) -> int:
     # numerator*denominator lies in the same square class as r
     return r.numerator * r.denominator

@@ -5,30 +5,33 @@ discriminants d1, d2 = 1 mod 4 with Dtilde = d1*d2.  The per-prime formula is
 the main one, evaluated by the same kernel in intersect, with the symbol
 (-alpha_l, l)_l replaced by the character value eps(l) and the summation
 running over positive n with (Dtilde - n**2)/4 a positive multiple of p.
-`_pair_table` rows each m once and is memoized for the last pair, so
-`gz_total` and its per-prime calls share one build.
+`_pair_table` takes every m of the pair from one root sieve over n
+(`tmatrix.factored_m`), with eps(l) evaluated once per prime, and is
+memoized for the last pair, so `gz_total` and its per-prime calls share one
+build.
 
 An independent oracle evaluates sum 4/(w1*w2) * log|j(tau1) - j(tau2)| over
 Heegner points at arbitrary precision; exp of the formula's output must match
 it.  j is 1728 * mpmath's kleinj (Jacobi theta constants, no stated error
 bound; reduced forms have Im tau >= sqrt(3)/2, so |q| <= e**(-pi*sqrt(3))),
 checked in the tests against an independent q-expansion.  j is evaluated once
-per conjugate pair, and each j(tau1) takes one log of prod_j2 |j(tau1) - j2|.
+per conjugate pair.  Each side takes one log: the oracle of the product of
+every |j(tau1) - j(tau2)|, the formula of the exact integer prod p**(2*c_p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import gcd, isqrt
+from functools import cache, lru_cache, partial
+from math import gcd, isqrt, prod
 
 import mpmath
 from mpmath import mp
 
 from .exactnum import is_prime, is_squarefree, kronecker_symbol
-from .intersect import IntersectionResult, Row, _beta, _by_prime, _coefficient, _row, formal_sum
-from .tmatrix import admissible_m
+from .intersect import IntersectionResult, Row, _beta, _by_prime, _coefficient, formal_sum
+from .tmatrix import factored_m
 
 
 #: Fewest oracle digits singular_moduli_log accepts.
@@ -74,9 +77,13 @@ def epsilon_of(l: int, params: GzParams) -> int:
 
 @lru_cache(maxsize=1)
 def _pair_table(params: GzParams) -> dict[int, list[tuple[int, Row]]]:
-    """Each prime p mapped to the (m, row) pairs with p | m, ascending in n."""
-    sign = partial(epsilon_of, params=params)
-    return _by_prime((m, _row(m, sign)) for m in admissible_m(params.dtilde, 4).values())
+    """Each prime p mapped to the (m, row) pairs with p | m, ascending in n:
+    every m from one root sieve, and eps(l) once per prime."""
+    sign = cache(partial(epsilon_of, params=params))
+    return _by_prime(
+        (m, tuple((l, e, sign(l)) for l, e in factors))
+        for m, factors in factored_m(params.dtilde, 4).values()
+    )
 
 
 def gz_intersection_at_p(params: GzParams, p: int) -> Fraction:
@@ -179,25 +186,28 @@ def singular_moduli_log(params: GzParams, precision: int = 100) -> mpmath.mpf:
         raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
     with mp.workdps(precision + 20):
         js2 = _singular_moduli(params.d2)
-        total = mp.mpf(0)
-        for j1 in _singular_moduli(params.d1):
-            total += mp.log(abs(mp.fprod(j1 - j2 for j2 in js2)))
+        product = mp.fprod(j1 - j2 for j1 in _singular_moduli(params.d1) for j2 in js2)
         weight = mp.mpf(4) / (_unit_count(params.d1) * _unit_count(params.d2))
-        return weight * total
+        return weight * mp.log(abs(product))
 
 
 def formal_sum_log(result: IntersectionResult, precision: int = 100) -> mpmath.mpf:
-    """Evaluate sum c_p * log p at `precision` digits, for oracle comparison."""
+    """Evaluate sum c_p * log p at `precision` digits, for oracle comparison:
+    half the log of the exact integer prod p**(2*c_p)."""
     with mp.workdps(precision + 20):
-        return mp.fsum(
-            mp.mpf(c.numerator) / c.denominator * mp.log(p)
-            for p, c in result.terms.items()
-        )
+        return mp.log(prod(p ** int(2 * c) for p, c in result.terms.items())) / 2
+
+
+def gz_logs(
+    params: GzParams, result: IntersectionResult, precision: int = 100
+) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(formula, oracle): formal_sum_log of `result`, the pair's gz_total, and
+    singular_moduli_log of the pair, both at `precision` digits."""
+    return formal_sum_log(result, precision), singular_moduli_log(params, precision)
 
 
 def gz_discrepancy(params: GzParams, precision: int = 100) -> mpmath.mpf:
     """|formula - oracle| in log space at the requested precision."""
+    formula, oracle = gz_logs(params, gz_total(params), precision)
     with mp.workdps(precision + 20):
-        formula = formal_sum_log(gz_total(params), precision)
-        oracle = singular_moduli_log(params, precision)
         return abs(formula - oracle)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .exactnum import prime_factors
+from .exactnum import padic_valuation, prime_factors, primes_up_to, sqrt_mod
 from .quadcm import CmFieldData
 
 
@@ -72,6 +72,50 @@ def admissible_m(dtilde: int, step: int) -> dict[int, int]:
         if rem % step == 0 and rem > 0:
             out[n] = rem // step
     return out
+
+
+def factored_m(dtilde: int, step: int) -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+    """admissible_m with each m factored: n -> (m, ((l, e), ...)), ascending
+    in n and in l.
+
+    One root sieve over n instead of a factorization per m.  For a prime l
+    dividing neither 2 nor step, l | m exactly when n**2 = dtilde (mod l), so
+    the sieve visits only the n in the one or two classes n = +-sqrt(dtilde)
+    (mod l), each combined with every class mod step that holds an admissible
+    n.  l = 2 and the primes of step are tested on every n.  Once every prime
+    up to sqrt(max m) is divided out, a cofactor above 1 is prime.
+    """
+    ms = admissible_m(dtilde, step)
+    if not ms:
+        return {}
+    rest = dict(ms)
+    factors: dict[int, list[tuple[int, int]]] = {n: [] for n in ms}
+    classes = sorted({n % step for n in ms})
+    top = max(ms)  # every n <= top in an admissible class is admissible
+    limit = isqrt(max(ms.values()))
+    for l in primes_up_to(limit):
+        if l == 2 or step % l == 0:
+            hits = [n for n in ms if rest[n] % l == 0]
+        else:
+            a = dtilde % l
+            if a and pow(a, (l - 1) // 2, l) != 1:
+                continue
+            r = sqrt_mod(a, l)
+            inv = pow(step, -1, l)
+            starts = {c + step * ((s - c) * inv % l) for c in classes for s in {r, l - r}}
+            hits = [n for n0 in starts for n in range(n0 or step * l, top + 1, step * l)]
+        for n in hits:
+            e = padic_valuation(rest[n], l)
+            if e == 0:
+                raise ArithmeticError(f"sieve: {l} does not divide m = {ms[n]} at n = {n}")
+            rest[n] //= l**e
+            factors[n].append((l, e))
+    for n, cofactor in rest.items():
+        if cofactor > 1:
+            if cofactor <= limit:
+                raise ArithmeticError(f"sieve: m = {ms[n]} at n = {n} keeps the factor {cofactor}")
+            factors[n].append((cofactor, 1))
+    return {n: (m, tuple(factors[n])) for n, m in ms.items()}
 
 
 def admissible_n(cm: CmFieldData) -> list[tuple[int, tuple[int, ...]]]:

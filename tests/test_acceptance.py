@@ -101,7 +101,7 @@ def test_criterion_5_gross_zagier_first_pair():
         product *= p ** c.numerator
     assert product == 15  # = |j(tau1) - j(tau2)|**(1/3)
     disc = gz_discrepancy(params, 100)
-    assert disc < mp.mpf(10) ** -6
+    assert disc < mp.mpf(10) ** -100  # the CLI's tolerance at 100 digits
     report(5, f"terms {{3:1, 5:1}}, product 15, |log discrepancy| = {float(disc):.1e}")
 
 
@@ -113,7 +113,7 @@ def test_criterion_6_gross_zagier_sweep():
         params = GzParams(d1, d2)
         disc = gz_discrepancy(params, 100)
         worst = max(worst, disc)
-        assert disc < mp.mpf(10) ** -6, (d1, d2)
+        assert disc < mp.mpf(10) ** -100, (d1, d2)  # the CLI's tolerance at 100 digits
         for p in gz_total(params).terms:
             assert 4 * p <= params.dtilde
     elapsed = time.perf_counter() - start

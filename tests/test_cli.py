@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertcm import __version__, intersect
+from mpmath import mp
+
+from hilbertcm import __version__, gzmoduli, intersect
 from hilbertcm.cli import main
 from hilbertcm.quadcm import enumerate_fields
 
@@ -249,7 +251,7 @@ class TestGz:
         assert code == 0
         payload = json.loads(out)
         assert payload["within_tolerance"] is True
-        assert payload["discrepancy"] < 1e-6
+        assert payload["discrepancy"] < 1e-100
         assert payload["terms"] == [
             {"p": 3, "coeff": {"num": 1, "den": 1}},
             {"p": 5, "coeff": {"num": 1, "den": 1}},
@@ -266,7 +268,23 @@ class TestGz:
             capsys, "gz", "--d1", "-7", "--d2", "-43", "--precision", "120"
         )
         assert code == 0
-        assert "yes" in out
+        assert "within tolerance (1e-120): yes" in out
+
+    @pytest.mark.parametrize("precision", [30, 60, 200])
+    def test_tolerance_follows_precision(self, capsys, monkeypatch, precision):
+        # A j off by a factor 1 + 10**-(precision - 5) moves the oracle's log
+        # by less than 1e-6, yet by more than the tolerance 10**-precision.
+        argv = ("gz", "--d1", "-11", "--d2", "-47", "--precision", str(precision),
+                "--format", "json")
+        assert run_cli(capsys, *argv)[0] == 0
+        j = gzmoduli.j_invariant
+        monkeypatch.setattr(
+            gzmoduli, "j_invariant", lambda f: j(f) * (1 + mp.mpf(10) ** -(precision - 5))
+        )
+        code, out, _ = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 1 and payload["within_tolerance"] is False
+        assert 10.0**-precision < payload["discrepancy"] < 1e-6
 
 
 class TestEnumerate:

@@ -16,6 +16,7 @@ from hilbertcm.exactnum import (
     padic_valuation,
     primes_up_to,
     relevant_places,
+    sqrt_mod,
 )
 from oracles import hilbert_symbol_oracle, legendre_euler
 
@@ -179,6 +180,42 @@ class TestKronecker:
         assert kronecker_symbol(a, n1 * n2) == kronecker_symbol(
             a, n1
         ) * kronecker_symbol(a, n2)
+
+
+class TestSqrtMod:
+    def test_exhaustive_below_500(self):
+        # Covers every p = 1 mod 8, where Tonelli-Shanks needs more than one
+        # round, from 17 on.
+        assert [p for p in primes_up_to(500) if p % 8 == 1][:3] == [17, 41, 73]
+        for p in primes_up_to(500)[1:]:
+            squares = {x * x % p for x in range(p)}
+            for a in range(p):
+                if a in squares:
+                    r = sqrt_mod(a, p)
+                    assert r * r % p == a and 0 <= r <= p // 2, (a, p)
+                else:
+                    with pytest.raises(ValueError, match="not a square"):
+                        sqrt_mod(a, p)
+
+    def test_reduces_its_argument(self):
+        assert sqrt_mod(-1, 13) == 5
+        assert sqrt_mod(4 + 10**12 * 97, 97) == 2
+
+    @pytest.mark.parametrize("p", [2, 1, 0, -7])
+    def test_needs_an_odd_prime(self, p):
+        with pytest.raises(ValueError, match="odd prime"):
+            sqrt_mod(1, p)
+
+    def test_composite_modulus(self):
+        # Not a supported input, but it must end: either a ValueError or a
+        # true root, never a loop or a wrong root.
+        for a, n in [(4, 15), (1, 65), (16, 561), (4, 9), (2, 1105)]:
+            try:
+                r = sqrt_mod(a, n)
+            except ValueError as exc:
+                assert "not prime" in str(exc) or "not a square" in str(exc)
+            else:
+                assert r * r % n == a % n
 
 
 class TestHilbertSymbol:

@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hilbertcm.exactnum import prime_factors
+from hilbertcm import tmatrix
+from hilbertcm.exactnum import factorize, prime_factors, primes_up_to, sqrt_mod
 from hilbertcm.quadcm import CmFieldData, QuadElem, enumerate_fields
 from hilbertcm.tmatrix import (
     TMatrixError,
+    admissible_m,
     admissible_n,
     all_tmatrices,
     build_tmatrix,
+    factored_m,
     mu_signs,
 )
 
@@ -124,3 +129,58 @@ class TestInvariants:
                 assert mus == mu_signs(cm, n)
                 for mu in mus:
                     assert (cm.u - 2 * mu * n) % cm.D == 0 or n % cm.D == 0
+
+
+def _factored_by_division(dtilde, step):
+    return {n: (m, factorize(m).factors) for n, m in admissible_m(dtilde, step).items()}
+
+
+class TestFactoredM:
+    """The root sieve against trial division on every admissible m."""
+
+    # dtilde reaches 1e10 with step 4D for the larger D; step 4 and D = 5
+    # stop lower, where trial division of every row would take seconds.
+    LIMITS = {4: 10**8, 4 * 5: 10**9, 4 * 29: 10**10, 4 * 41: 10**10}
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(step=st.sampled_from(sorted(LIMITS)), r=st.sampled_from((0, 1)), data=st.data())
+    def test_matches_factorize(self, step, r, data):
+        # dtilde = 0 or 1 mod 4, the only classes with an admissible n.
+        dtilde = 4 * data.draw(st.integers(0, self.LIMITS[step] // 4), label="k") + r
+        assert factored_m(dtilde, step) == _factored_by_division(dtilde, step)
+
+    @pytest.mark.parametrize(
+        "dtilde, step",
+        [
+            (21, 4), (1, 4), (4, 4), (10**6, 4),  # tiny, empty, a square
+            (1105, 4 * 5), (10**9 + 5, 4 * 5), (10**9 + 25, 4 * 5),  # D | dtilde
+            (10**8 + 1, 4), (10**7 + 1, 4 * 5),  # 8 | dtilde - n**2 at odd n
+            (-2087 * -2351, 4),  # a gz pair at the benchmark's scale
+            (10**10 - 3, 4 * 41),  # near 1e10
+        ],
+    )
+    def test_cases(self, dtilde, step):
+        assert factored_m(dtilde, step) == _factored_by_division(dtilde, step)
+
+    def test_cases_reach_their_branches(self):
+        # D | dtilde forces D | n, and D**2 | dtilde then puts D | m on
+        # every row; 8 | dtilde - n**2 makes m even.
+        assert all(n % 5 == 0 for n in factored_m(10**9 + 5, 20))
+        assert all(n % 5 == 0 and m % 5 == 0 for n, (m, _) in factored_m(10**9 + 25, 20).items())
+        assert all(m % 2 == 0 for m, _ in factored_m(10**8 + 1, 4).values())
+
+    @pytest.mark.parametrize(
+        "name, broken, message",
+        [
+            ("sqrt_mod", lambda a, p: (sqrt_mod(a, p) + 1) % p, "does not divide"),
+            ("primes_up_to", lambda n: primes_up_to(n)[1:], "keeps the factor"),
+        ],
+    )
+    def test_invariants_raise(self, monkeypatch, name, broken, message):
+        monkeypatch.setattr(tmatrix, name, broken)
+        with pytest.raises(ArithmeticError, match=message):
+            factored_m(10**6 + 1, 4)
+
+    def test_invariants_raise_under_python_O(self, run_under_python_O):
+        out = run_under_python_O(f"{__file__}::TestFactoredM::test_invariants_raise")
+        assert "2 passed" in out
