@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertcm import tmatrix
